@@ -21,7 +21,7 @@ use plp_core::plp::{
 };
 use plp_core::CoreError;
 use plp_fed::{FedConfig, FedExecutor, RetryPolicy};
-use plp_obs::trace::{parse_dump_jsonl, stitch_chrome_trace, TraceConfig, TraceDump};
+use plp_obs::trace::{read_dump_dir, stitch_chrome_trace, TraceConfig};
 use plp_obs::Observer;
 use plp_privacy::PrivacyBudget;
 
@@ -128,7 +128,7 @@ fn main() -> ExitCode {
     );
 
     // Drill 3: coordinator crash. Halt the fed run mid-flight (fleet and
-    // all), restore the ordinary v2 checkpoint on a new coordinator with
+    // all), restore the ordinary PLPC checkpoint on a new coordinator with
     // new workers, and demand the uninterrupted reference bits.
     println!("== drill 3: coordinator crash and resume ==");
     let dir = std::env::temp_dir().join(format!("plp_fed_chaos_{}", std::process::id()));
@@ -269,7 +269,7 @@ fn main() -> ExitCode {
             .unwrap_or_else(|| "target/BENCH_fed_trace.json".to_string())
     };
     // Raw dumps land in a stable dir (not a temp dir) so operators and CI
-    // can re-stitch them with scripts/trace_stitch.py after the run.
+    // can re-stitch them with the trace_stitch binary after the run.
     let trace_dir = std::path::PathBuf::from("target/fed_trace_dumps");
     std::fs::remove_dir_all(&trace_dir).ok();
     std::fs::create_dir_all(&trace_dir).expect("trace dir");
@@ -304,18 +304,7 @@ fn main() -> ExitCode {
         )
         .expect("coordinator dump");
 
-    let mut dumps: Vec<TraceDump> = Vec::new();
-    let coordinator_dump =
-        std::fs::read_to_string(trace_dir.join("trace_coordinator.jsonl")).expect("read dump");
-    dumps.push(parse_dump_jsonl(&coordinator_dump).expect("parse coordinator dump"));
-    for entry in std::fs::read_dir(&trace_dir).expect("list trace dir") {
-        let path = entry.expect("dir entry").path();
-        let name = path.file_name().unwrap_or_default().to_string_lossy();
-        if name.starts_with("trace_worker_") {
-            let text = std::fs::read_to_string(&path).expect("read worker dump");
-            dumps.push(parse_dump_jsonl(&text).expect("parse worker dump"));
-        }
-    }
+    let dumps = read_dump_dir(&trace_dir).expect("read trace dumps");
     let processes: std::collections::BTreeSet<(String, u64)> =
         dumps.iter().map(|d| (d.process.clone(), d.pid)).collect();
     all_ok &= check(

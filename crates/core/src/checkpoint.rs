@@ -1,10 +1,11 @@
 //! Crash-safe training checkpoints (`PLPC` format).
 //!
 //! A [`TrainingCheckpoint`] captures everything a private training run
-//! needs to resume bit-identically after a crash: the model parameters
-//! (reusing the `PLPM` snapshot encoding), the server-optimizer state
-//! (including Adam's moment estimates), the auditable privacy ledger, the
-//! run seed and the number of completed steps.
+//! needs to resume bit-identically after a crash: the model parameters and
+//! the server-optimizer state (Adam's moment estimates included), each as
+//! an embedded PLPS image ([`plp_model::plps::encode_params`]), plus the
+//! auditable privacy ledger, the run seed and the number of completed
+//! steps.
 //!
 //! Integrity and safety properties:
 //! * **Versioned**: a magic/version header rejects foreign or future files.
@@ -14,7 +15,8 @@
 //!   configurations would silently invalidate both the model and the
 //!   privacy accounting.
 //! * **CRC-terminated**: a CRC-32 footer over the whole payload detects
-//!   truncated or bit-flipped files before any field is trusted.
+//!   truncated or bit-flipped files before any field is trusted. It covers
+//!   the embedded PLPS images too, so their body CRCs are not re-checked.
 //! * **Atomically written**: [`save_checkpoint`] writes to a temporary
 //!   file, fsyncs it, then renames over the destination, so a crash
 //!   mid-write never destroys the previous good checkpoint.
@@ -32,7 +34,7 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 use plp_data::frame::{checked_frame_len, crc32};
 use plp_model::optimizer::{ServerAdam, ServerSgd};
 use plp_model::params::ModelParams;
-use plp_model::snapshot;
+use plp_model::plps::{self, PlpsSnapshot};
 use plp_privacy::accountant::LedgerEntry;
 use plp_privacy::PrivacyLedger;
 
@@ -40,14 +42,15 @@ use crate::config::Hyperparameters;
 use crate::error::CoreError;
 
 const MAGIC: &[u8; 4] = b"PLPC";
-/// Format version 3: the linalg reduction kernels run eight accumulator
-/// lanes (see `plp_linalg::ops`) instead of version 2's four, which changes
-/// the floating-point reduction order and thus every trained bit stream.
-/// Version 2 itself replaced version 1's single sequential noise sampler
-/// with counter-based per-row streams. A checkpoint from either older
-/// version would resume onto a different trajectory, so both are refused
-/// outright with explanatory errors.
-const VERSION: u8 = 3;
+/// Format version 4: parameters and Adam moments are embedded PLPS images.
+/// Version 3 carried them in the retired length-prefixed tensor codec,
+/// which this build no longer reads. Version 3 itself moved the linalg
+/// reduction kernels to eight accumulator lanes (see `plp_linalg::ops`)
+/// from version 2's four, changing every trained bit stream, and version 2
+/// replaced version 1's sequential noise sampler with counter-based
+/// per-row streams. Every older version is refused outright with an
+/// explanatory restart-from-scratch error.
+const VERSION: u8 = 4;
 
 /// Version of the noise-RNG scheme, folded into [`config_fingerprint`]:
 /// any future change to how per-step noise is derived (stream seeding,
@@ -170,12 +173,15 @@ pub fn config_fingerprint(hp: &Hyperparameters, vocab_size: usize) -> Result<u64
     Ok(h)
 }
 
-fn put_blob(buf: &mut BytesMut, blob: &Bytes) {
-    buf.put_u64_le(blob.len() as u64);
-    buf.put_slice(blob.as_ref());
+fn put_params(buf: &mut BytesMut, params: &ModelParams) {
+    let image = plps::encode_params(params);
+    buf.put_u64_le(image.len() as u64);
+    buf.put_slice(&image);
 }
 
-fn get_blob(data: &mut Bytes) -> Result<Bytes, CoreError> {
+/// Decodes one length-prefixed PLPS parameter image. Its body CRCs are
+/// not re-checked: the checkpoint's CRC footer already covered these bytes.
+fn get_params(data: &mut Bytes, what: &'static str) -> Result<ModelParams, CoreError> {
     if data.remaining() < 8 {
         return Err(CoreError::CheckpointCorrupt {
             what: "truncated blob header",
@@ -192,22 +198,23 @@ fn get_blob(data: &mut Bytes) -> Result<Bytes, CoreError> {
             what: "truncated blob body",
         });
     }
-    let blob = data.slice(..len);
+    let image = data.slice(..len).to_vec();
     *data = data.slice(len..);
-    Ok(blob)
+    PlpsSnapshot::from_bytes(image)
+        .and_then(|snap| snap.params())
+        .map_err(|_| CoreError::CheckpointCorrupt { what })
 }
 
 /// Serializes a checkpoint to its `PLPC` binary form (CRC footer
 /// included).
 pub fn encode_checkpoint(ckpt: &TrainingCheckpoint) -> Bytes {
-    let params_blob = snapshot::encode_params(&ckpt.params);
-    let mut buf = BytesMut::with_capacity(64 + params_blob.len() * 3);
+    let mut buf = BytesMut::new();
     buf.put_slice(MAGIC);
     buf.put_u8(VERSION);
     buf.put_u64_le(ckpt.fingerprint);
     buf.put_u64_le(ckpt.run_seed);
     buf.put_u64_le(ckpt.step);
-    put_blob(&mut buf, &params_blob);
+    put_params(&mut buf, &ckpt.params);
     match &ckpt.server {
         ServerState::Sgd { learning_rate } => {
             buf.put_u8(0);
@@ -228,8 +235,8 @@ pub fn encode_checkpoint(ckpt: &TrainingCheckpoint) -> Bytes {
             buf.put_f64_le(*beta2);
             buf.put_f64_le(*eps);
             buf.put_u64_le(*t);
-            put_blob(&mut buf, &snapshot::encode_params(m));
-            put_blob(&mut buf, &snapshot::encode_params(v));
+            put_params(&mut buf, m);
+            put_params(&mut buf, v);
         }
     }
     let entries = ckpt.ledger.entries();
@@ -300,6 +307,14 @@ pub fn decode_checkpoint(data: Bytes) -> Result<TrainingCheckpoint, CoreError> {
                        under eight-lane reduction kernels; restart the run from scratch",
             });
         }
+        3 => {
+            // v3 tensors use the retired length-prefixed tensor codec; its
+            // decoder is gone, so the file cannot be read at all.
+            return Err(CoreError::CheckpointCorrupt {
+                what: "version 3 checkpoint (length-prefixed tensor codec) cannot be \
+                       read now that tensors are PLPS images; restart the run from scratch",
+            });
+        }
         _ => {
             return Err(CoreError::CheckpointCorrupt {
                 what: "unsupported version",
@@ -309,11 +324,7 @@ pub fn decode_checkpoint(data: Bytes) -> Result<TrainingCheckpoint, CoreError> {
     let fingerprint = data.get_u64_le();
     let run_seed = data.get_u64_le();
     let step = data.get_u64_le();
-    let params = snapshot::decode_params(get_blob(&mut data)?).map_err(|_| {
-        CoreError::CheckpointCorrupt {
-            what: "malformed parameter snapshot",
-        }
-    })?;
+    let params = get_params(&mut data, "malformed parameter snapshot")?;
     if data.remaining() < 1 {
         return Err(CoreError::CheckpointCorrupt {
             what: "missing server tag",
@@ -334,16 +345,8 @@ pub fn decode_checkpoint(data: Bytes) -> Result<TrainingCheckpoint, CoreError> {
                 });
             }
             let t = data.get_u64_le();
-            let m = snapshot::decode_params(get_blob(&mut data)?).map_err(|_| {
-                CoreError::CheckpointCorrupt {
-                    what: "malformed adam m",
-                }
-            })?;
-            let v = snapshot::decode_params(get_blob(&mut data)?).map_err(|_| {
-                CoreError::CheckpointCorrupt {
-                    what: "malformed adam v",
-                }
-            })?;
+            let m = get_params(&mut data, "malformed adam m")?;
+            let v = get_params(&mut data, "malformed adam v")?;
             ServerState::Adam {
                 learning_rate,
                 beta1,
@@ -561,6 +564,16 @@ mod tests {
                 assert!(what.contains("restart"), "got: {what}");
             }
             other => panic!("v2 checkpoint must be refused, got {other:?}"),
+        }
+        // And v3 (tensors in the retired length-prefixed codec).
+        let v3 = reseal(&|raw| raw[4] = 3);
+        match v3 {
+            Err(CoreError::CheckpointCorrupt { what }) => {
+                assert!(what.contains("version 3"), "got: {what}");
+                assert!(what.contains("PLPS"), "got: {what}");
+                assert!(what.contains("restart"), "got: {what}");
+            }
+            other => panic!("v3 checkpoint must be refused, got {other:?}"),
         }
         // Step count disagreeing with the ledger is rejected too.
         assert!(matches!(

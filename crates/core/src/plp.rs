@@ -687,7 +687,7 @@ pub fn resume_plp(
 }
 
 /// [`resume_plp`] with an explicit [`BucketExecutor`]: a coordinator that
-/// crashed mid-run restores the v2 checkpoint and continues distributing
+/// crashed mid-run restores the PLPC checkpoint and continues distributing
 /// buckets, bit-identical to the uninterrupted run.
 ///
 /// # Errors

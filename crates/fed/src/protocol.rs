@@ -6,16 +6,18 @@
 //! * [`MSG_SETUP`] (JSON): hyper-parameters, the fault plan, and the
 //!   worker's slot + incarnation — sent once per spawned process.
 //! * [`MSG_ROUND`] (binary): one step's work order — the step identity and
-//!   seed, the full parameter snapshot θ_t, and the assigned buckets with
-//!   their *global* indices.
+//!   seed, the full parameters θ_t as an embedded PLPS image, and the
+//!   assigned buckets with their *global* indices.
 //! * [`MSG_REPLY`] (binary): the worker's bucket results. Deltas travel as
 //!   row-sparse gradients with exact `f64` bits, so a bucket computed
 //!   remotely aggregates to the same sum as one computed in process.
 //! * [`MSG_SHUTDOWN`] (empty): clean worker exit.
 //!
 //! Every numeric field is little-endian and every length is validated
-//! before allocation. Model parameters reuse the snapshot codec of
-//! [`plp_model::snapshot`], which enforces the shared frame ceiling.
+//! before allocation. Model parameters travel as PLPS images
+//! ([`plp_model::plps::encode_params`]), whose header validation enforces
+//! the shared frame ceiling; the frame CRC covers the image bytes, so the
+//! image's own body CRCs are not re-checked.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use serde::{Deserialize, Serialize};
@@ -27,19 +29,21 @@ use plp_data::frame::checked_frame_len;
 use plp_data::grouping::Bucket;
 use plp_model::grad::SparseGrad;
 use plp_model::params::ModelParams;
-use plp_model::snapshot::{decode_params, encode_params};
+use plp_model::plps::{encode_params, PlpsSnapshot};
 
 use crate::error::FedError;
 
 /// The coordinator↔worker protocol version, checked at Setup.
 ///
-/// Version 2 added the optional trace-context frame header (the
-/// [`crate::frame::KIND_TRACED`] flag bit). A version-1 worker that
-/// receives a traced frame sees an unknown kind byte and exits through
-/// its protocol-error path; a version-2 worker handed a mismatched
-/// `protocol_version` in Setup rejects the session *before* any round
-/// traffic — old workers are refused cleanly either way.
-pub const PROTOCOL_VERSION: u32 = 2;
+/// Version 3 carries θ_t in [`MSG_ROUND`] as a PLPS image instead of the
+/// retired length-prefixed tensor codec. Version 2 added the optional
+/// trace-context frame header (the [`crate::frame::KIND_TRACED`] flag
+/// bit). A version-1 worker that receives a traced frame sees an unknown
+/// kind byte and exits through its protocol-error path; a version-2 or
+/// later worker handed a mismatched `protocol_version` in Setup rejects
+/// the session *before* any round traffic — old workers are refused
+/// cleanly either way.
+pub const PROTOCOL_VERSION: u32 = 3;
 
 /// Frame kind: coordinator → worker session setup (JSON payload).
 pub const MSG_SETUP: u8 = 1;
@@ -185,7 +189,7 @@ impl RoundRequest {
     ///
     /// # Errors
     /// [`FedError::Decode`] on truncation or a length claim over the
-    /// shared frame ceiling; snapshot shape errors propagate as
+    /// shared frame ceiling; PLPS image errors propagate as
     /// [`FedError::Core`].
     pub fn decode(payload: &[u8]) -> Result<Self, FedError> {
         let mut data = Bytes::from(payload.to_vec());
@@ -195,10 +199,10 @@ impl RoundRequest {
         let attempt = data.get_u64_le();
         let snap_len = get_count(&mut data, 1, "round snapshot")?;
         need(&data, snap_len, "round snapshot body")?;
-        let snapshot = data.slice(..snap_len);
+        let params = PlpsSnapshot::from_bytes(data.slice(..snap_len).to_vec())
+            .and_then(|snap| snap.params())
+            .map_err(|e| FedError::Core(plp_core::CoreError::Model(e)))?;
         data = data.slice(snap_len..);
-        let params =
-            decode_params(snapshot).map_err(|e| FedError::Core(plp_core::CoreError::Model(e)))?;
         let n = get_count(&mut data, 24, "round assignments")?;
         let mut assignments = Vec::with_capacity(n);
         for _ in 0..n {

@@ -7,7 +7,7 @@
 //! frequency-weighted proposal would leak the private location popularity).
 //!
 //! Modules:
-//! * [`params`] — the three tensors, initialisation, snapshots,
+//! * [`params`] — the three tensors and their initialisation,
 //! * [`negative`] — uniform (private) and unigram (non-private ablation)
 //!   negative samplers,
 //! * [`loss`] — sampled-softmax and sigmoid-SGNS forward/backward with
@@ -24,10 +24,10 @@
 //!   cosine top-k recommendation,
 //! * [`metrics`] — leave-one-out Hit-Rate@k evaluation and baselines,
 //! * [`markov`] — the (DP-)Markov-chain baselines of the related work (§6),
-//! * [`snapshot`] — versioned binary checkpoints and the embedding-only
-//!   deployment bundle of §3.3,
-//! * [`plps`] — the page-aligned, mmap-able PLPS v2 snapshot layout for
-//!   zero-copy serving and hot-swap generation publishing.
+//! * [`plps`] — the one params codec: the page-aligned, mmap-able PLPS
+//!   snapshot layout behind CLI model files, the embedding-only deployment
+//!   bundle of §3.3 (zero-copy serving, hot-swap generation publishing),
+//!   and the parameter images inside checkpoints and federated frames.
 
 pub mod clip;
 pub mod error;
@@ -41,7 +41,6 @@ pub mod optimizer;
 pub mod params;
 pub mod plps;
 pub mod recommender;
-pub mod snapshot;
 pub mod train;
 
 pub use error::{ModelError, SnapshotError};

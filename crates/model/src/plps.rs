@@ -1,10 +1,13 @@
-//! PLPS v2: the page-aligned, mmap-able model snapshot layout.
+//! PLPS v1: the page-aligned, mmap-able model snapshot layout — the one
+//! codec for model parameters.
 //!
-//! The legacy PLPM/PLPE codecs ([`crate::snapshot`]) stream every f64
-//! through a cursor into owned buffers — fine for training checkpoints, but
-//! a serving fleet wants many processes sharing one read-only model
-//! generation and swapping to the next without a restart. PLPS lays tensors
-//! out so a mapped file *is* the in-memory representation:
+//! Every byte boundary that carries θ uses it: CLI model files
+//! ([`write_params`]), serving deployment bundles ([`write_deployable`]),
+//! and the in-memory images ([`encode_params`] / [`PlpsSnapshot::from_bytes`])
+//! embedded in PLPC training checkpoints and federated round frames. A
+//! serving fleet wants many processes sharing one read-only model
+//! generation and swapping to the next without a restart, so PLPS lays
+//! tensors out so a mapped file *is* the in-memory representation:
 //!
 //! ```text
 //! offset   size  field
@@ -34,6 +37,8 @@
 //! finiteness sweep) on every candidate before swapping traffic onto it,
 //! and publishers write files atomically (tmp + `rename(2)`), so a file
 //! named by the `CURRENT` pointer is never truncated or rewritten in place.
+//! Embedded images skip the body pass: the CRC of the enclosing checkpoint
+//! or frame already covers every byte.
 
 use std::fs;
 use std::io::Write;
@@ -239,6 +244,16 @@ impl PlpsSnapshot {
         let bytes = fs::read(path).map_err(|e| ModelError::Io {
             message: format!("read {}: {e}", path.display()),
         })?;
+        Self::from_bytes(bytes)
+    }
+
+    /// Takes ownership of an in-memory PLPS image (e.g. one embedded in a
+    /// checkpoint or a round frame) with the same header validation as the
+    /// file-backed opens.
+    ///
+    /// # Errors
+    /// [`ModelError::Snapshot`] on a malformed header.
+    pub fn from_bytes(bytes: Vec<u8>) -> Result<Self, ModelError> {
         let (generation, flags, entries) = parse_header(&bytes)?;
         Ok(PlpsSnapshot {
             generation,
@@ -381,7 +396,7 @@ impl PlpsSnapshot {
         Ok(self.matrix_at(e)?.as_slice().to_vec())
     }
 
-    /// Reassembles full model parameters from a [`write_params`] snapshot.
+    /// Reassembles full model parameters from an [`encode_params`] image.
     ///
     /// # Errors
     /// Missing tensors or mismatched shapes yield
@@ -530,13 +545,12 @@ pub fn write_deployable(
     write_atomic(path, &image)
 }
 
-/// Writes a full-parameter PLPS snapshot (server-side use; not flagged
-/// normalised).
-///
-/// # Errors
-/// [`ModelError::Io`] on filesystem failures.
-pub fn write_params(path: &Path, params: &ModelParams, generation: u64) -> Result<(), ModelError> {
-    let image = encode(
+/// Encodes full model parameters (embedding, context, bias) as an
+/// in-memory PLPS image: generation 0, not flagged normalised. Decode with
+/// [`PlpsSnapshot::from_bytes`] then [`PlpsSnapshot::params`].
+#[must_use]
+pub fn encode_params(params: &ModelParams) -> Vec<u8> {
+    encode(
         &[
             (
                 KIND_EMBEDDING,
@@ -552,10 +566,17 @@ pub fn write_params(path: &Path, params: &ModelParams, generation: u64) -> Resul
             ),
             (KIND_BIAS, params.bias.len(), 1, params.bias.as_slice()),
         ],
-        generation,
         0,
-    );
-    write_atomic(path, &image)
+        0,
+    )
+}
+
+/// Atomically writes a full-parameter PLPS snapshot ([`encode_params`]).
+///
+/// # Errors
+/// [`ModelError::Io`] on filesystem failures.
+pub fn write_params(path: &Path, params: &ModelParams) -> Result<(), ModelError> {
+    write_atomic(path, &encode_params(params))
 }
 
 #[cfg(test)]
@@ -621,7 +642,7 @@ mod tests {
     fn full_params_round_trip() {
         let p = params(7, 4);
         let path = tmp("full.plps");
-        write_params(&path, &p, 7).unwrap();
+        write_params(&path, &p).unwrap();
         let snap = PlpsSnapshot::open(&path).unwrap();
         snap.validate().unwrap();
         assert_eq!(snap.tensor_count(), 3);
@@ -632,13 +653,18 @@ mod tests {
             snap.recommender().unwrap_err(),
             ModelError::Snapshot(SnapshotError::Inconsistent { .. })
         ));
+        // The file is exactly the in-memory image, which decodes alike.
+        let image = encode_params(&p);
+        assert_eq!(std::fs::read(&path).unwrap(), image);
+        let back = PlpsSnapshot::from_bytes(image).unwrap().params().unwrap();
+        assert_eq!(back, p);
     }
 
     #[test]
     fn bodies_are_page_aligned() {
         let p = params(13, 3);
         let path = tmp("aligned.plps");
-        write_params(&path, &p, 1).unwrap();
+        write_params(&path, &p).unwrap();
         let bytes = std::fs::read(&path).unwrap();
         let snap = PlpsSnapshot::open_owned(&path).unwrap();
         for e in &snap.entries {
@@ -777,6 +803,56 @@ mod tests {
         assert!(matches!(
             PlpsSnapshot::open(&tmp("missing.plps")).unwrap_err(),
             ModelError::Io { .. }
+        ));
+    }
+
+    #[test]
+    fn oversized_dim_claims_hit_the_frame_ceiling() {
+        let p = params(6, 3);
+        let path = tmp("ceiling.plps");
+        write_params(&path, &p).unwrap();
+        let mut raw = std::fs::read(&path).unwrap();
+        // Claim a 2^16 × 2^16 embedding: each dimension passes on its own,
+        // but the 2^35-byte body clears MAX_FRAME_BYTES. Re-seal the header
+        // CRC so only the ceiling check can reject it.
+        let claim = 0x0001_0000u64.to_le_bytes();
+        raw[TABLE_OFFSET + 4..TABLE_OFFSET + 12].copy_from_slice(&claim);
+        raw[TABLE_OFFSET + 12..TABLE_OFFSET + 20].copy_from_slice(&claim);
+        let header_crc = crc32(&raw[..HEADER_CRC_OFFSET]);
+        raw[HEADER_CRC_OFFSET..PAGE_ALIGN].copy_from_slice(&header_crc.to_le_bytes());
+        let path = tmp("ceiling2.plps");
+        std::fs::write(&path, &raw).unwrap();
+        for r in [
+            PlpsSnapshot::open_mapped(&path),
+            PlpsSnapshot::open_owned(&path),
+        ] {
+            assert!(
+                matches!(
+                    r,
+                    Err(ModelError::Snapshot(SnapshotError::OverCeiling {
+                        what: "tensor body"
+                    }))
+                ),
+                "got: {r:?}"
+            );
+        }
+
+        // A well-formed image whose bias length disagrees with the
+        // embedding rows parses, but cannot become ModelParams.
+        let short_bias = [0.5; 5];
+        let image = encode(
+            &[
+                (KIND_EMBEDDING, 6, 3, p.embedding.as_slice()),
+                (KIND_CONTEXT, 6, 3, p.context.as_slice()),
+                (KIND_BIAS, 5, 1, &short_bias),
+            ],
+            0,
+            0,
+        );
+        let snap = PlpsSnapshot::from_bytes(image).unwrap();
+        assert!(matches!(
+            snap.params().unwrap_err(),
+            ModelError::Snapshot(SnapshotError::Inconsistent { .. })
         ));
     }
 }

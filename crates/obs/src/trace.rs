@@ -654,6 +654,37 @@ pub fn parse_dump_jsonl(text: &str) -> Result<TraceDump, String> {
     })
 }
 
+/// Reads a dump directory in stitch order: `trace_coordinator.jsonl` (the
+/// clock anchor) first, then every `trace_worker_*.jsonl` by file name.
+///
+/// # Errors
+/// If the directory cannot be listed, holds no dumps, or a dump cannot be
+/// read or lacks its meta line.
+pub fn read_dump_dir(dir: &Path) -> Result<Vec<TraceDump>, String> {
+    const ANCHOR: &str = "trace_coordinator.jsonl";
+    let listing = std::fs::read_dir(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
+    let mut names: Vec<String> = listing
+        .filter_map(|entry| Some(entry.ok()?.file_name().to_string_lossy().into_owned()))
+        .filter(|n| n.starts_with("trace_worker_") && n.ends_with(".jsonl"))
+        .collect();
+    names.sort();
+    if dir.join(ANCHOR).is_file() {
+        names.insert(0, ANCHOR.to_string());
+    }
+    if names.is_empty() {
+        return Err(format!("{}: no trace_*.jsonl dumps found", dir.display()));
+    }
+    names
+        .iter()
+        .map(|name| {
+            let path = dir.join(name);
+            let text = std::fs::read_to_string(&path)
+                .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+            parse_dump_jsonl(&text).map_err(|e| format!("{}: {e}", path.display()))
+        })
+        .collect()
+}
+
 fn parse_record(value: &Value) -> Option<DumpRecord> {
     let obj = value.as_object()?;
     let kind = match get_str(obj, "record")?.as_str() {

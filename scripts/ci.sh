@@ -30,11 +30,11 @@ echo "== fed_chaos drill (multi-process federated smoke + traced round) =="
 cargo run --release -p plp-bench --bin fed_chaos -- --smoke \
   --trace-out target/BENCH_fed_trace.json
 
-echo "== trace stitcher (python mirror over the fed_chaos dumps) =="
-python3 scripts/trace_stitch.py --out target/BENCH_fed_trace_py.json \
-  target/fed_trace_dumps
-# The operator-side stitcher must agree with the in-process one.
-python3 - target/BENCH_fed_trace.json target/BENCH_fed_trace_py.json <<'PY'
+echo "== trace stitcher (offline re-stitch of the fed_chaos dumps) =="
+cargo run --release -p plp-bench --bin trace_stitch -- \
+  --out target/BENCH_fed_trace_restitched.json target/fed_trace_dumps
+# Re-stitching the raw dumps offline must reproduce the drill's trace.
+python3 - target/BENCH_fed_trace.json target/BENCH_fed_trace_restitched.json <<'PY'
 import json, sys
 def sig(path):
     t = json.load(open(path))
@@ -42,7 +42,7 @@ def sig(path):
         (e.get("ph"), e.get("name"), e.get("pid"), e.get("ts"), e.get("dur"))
         for e in t["traceEvents"]
     )
-assert sig(sys.argv[1]) == sig(sys.argv[2]), "python stitcher diverged from rust"
+assert sig(sys.argv[1]) == sig(sys.argv[2]), "offline stitcher diverged from fed_chaos"
 print("stitchers agree")
 PY
 

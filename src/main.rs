@@ -4,8 +4,9 @@
 //!
 //! * `generate`  — synthesise a check-in dataset and write a binary snapshot,
 //! * `stats`     — print dataset statistics (§5.1 profile),
-//! * `train`     — train `plp` | `dpsgd` | `nonprivate` and save the model
-//!   (plus the auditable privacy ledger for the private methods),
+//! * `train`     — train `plp` | `dpsgd` | `nonprivate` and save the model as
+//!   a checksummed PLPS snapshot (plus the auditable privacy ledger for the
+//!   private methods),
 //! * `evaluate`  — leave-one-out HR@k of a saved model on held-out users,
 //! * `recommend` — top-k next locations for a token sequence,
 //! * `budget`    — moments-accountant planning (steps afforded / ε of a plan).
@@ -27,7 +28,8 @@ use plp_core::plp::train_plp;
 use plp_data::generator::{GeneratorConfig, SyntheticGenerator};
 use plp_data::io as data_io;
 use plp_data::stats::dataset_stats;
-use plp_model::snapshot;
+use plp_model::params::ModelParams;
+use plp_model::plps::{self, PlpsSnapshot};
 use plp_model::Recommender;
 use plp_privacy::planner::{epsilon_for_steps, max_steps};
 use plp_privacy::PrivacyBudget;
@@ -65,12 +67,12 @@ const USAGE: &str = "dp-nextloc — differentially-private next-location predict
 USAGE:
   dp-nextloc generate  --out data.bin [--profile small|medium|paper] [--seed N] [--csv out.csv]
   dp-nextloc stats     --data data.bin
-  dp-nextloc train     --data data.bin --out model.plpm [--method plp|dpsgd|nonprivate]
+  dp-nextloc train     --data data.bin --out model.plps [--method plp|dpsgd|nonprivate]
                        [--eps F] [--delta F] [--sigma F] [--q F] [--lambda N] [--clip F]
                        [--dim N] [--neg N] [--max-steps N] [--epochs N] [--seed N]
                        [--ledger ledger.json]
-  dp-nextloc evaluate  --data data.bin --model model.plpm [--k 5,10,20] [--seed N]
-  dp-nextloc recommend --model model.plpm --recent 12,87,40 [--k 10]
+  dp-nextloc evaluate  --data data.bin --model model.plps [--k 5,10,20] [--seed N]
+  dp-nextloc recommend --model model.plps --recent 12,87,40 [--k 10]
   dp-nextloc budget    --q F --sigma F (--eps F | --steps N) [--delta F]";
 
 /// Minimal `--flag value` parser; every flag takes exactly one value.
@@ -233,7 +235,7 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
         other => return Err(format!("unknown method `{other}` (plp|dpsgd|nonprivate)")),
     };
 
-    snapshot::save_params(&params, &out).map_err(|e| e.to_string())?;
+    plps::write_params(&out, &params).map_err(|e| e.to_string())?;
     println!("model saved to {}", out.display());
     if let (Some(ledger), Some(path)) = (&ledger, flags.get("ledger")) {
         let json = serde_json::to_string_pretty(ledger).map_err(|e| e.to_string())?;
@@ -248,10 +250,17 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// Opens a saved PLPS model and checks every body CRC and value before
+/// use, so a damaged file fails instead of serving wrong answers.
+fn load_model(path: &Path) -> Result<ModelParams, String> {
+    let snap = PlpsSnapshot::open(path).map_err(|e| e.to_string())?;
+    snap.validate().map_err(|e| e.to_string())?;
+    snap.params().map_err(|e| e.to_string())
+}
+
 fn cmd_evaluate(args: &[String]) -> Result<(), String> {
     let flags = parse_flags(args)?;
-    let params =
-        snapshot::load_params(Path::new(req(&flags, "model")?)).map_err(|e| e.to_string())?;
+    let params = load_model(Path::new(req(&flags, "model")?))?;
     let prep = prepare(&flags)?;
     let ks: Vec<usize> = flags
         .get("k")
@@ -269,8 +278,7 @@ fn cmd_evaluate(args: &[String]) -> Result<(), String> {
 
 fn cmd_recommend(args: &[String]) -> Result<(), String> {
     let flags = parse_flags(args)?;
-    let params =
-        snapshot::load_params(Path::new(req(&flags, "model")?)).map_err(|e| e.to_string())?;
+    let params = load_model(Path::new(req(&flags, "model")?))?;
     let recent: Vec<usize> = req(&flags, "recent")?
         .split(',')
         .map(|s| s.trim().parse().map_err(|_| format!("bad token `{s}`")))
@@ -368,7 +376,7 @@ mod tests {
         let dir = std::env::temp_dir().join("dp_nextloc_cli_test");
         std::fs::create_dir_all(&dir).unwrap();
         let data = dir.join("data.bin");
-        let model = dir.join("model.plpm");
+        let model = dir.join("model.plps");
         let ledger = dir.join("ledger.json");
 
         // generate a tiny custom dataset by writing it directly (the small
@@ -432,6 +440,31 @@ mod tests {
             "5",
         ]))
         .unwrap();
+
+        // One flipped body bit must make both readers refuse the model
+        // rather than evaluate or serve from damaged parameters.
+        let mut raw = std::fs::read(&model).unwrap();
+        raw[plps::PAGE_ALIGN + 5] ^= 0x10;
+        std::fs::write(&model, &raw).unwrap();
+        let err = cmd_evaluate(&s(&[
+            "--data",
+            data.to_str().unwrap(),
+            "--model",
+            model.to_str().unwrap(),
+            "--holdout",
+            "8",
+        ]))
+        .unwrap_err();
+        assert!(err.contains("CRC"), "got: {err}");
+        let err = cmd_recommend(&s(&[
+            "--model",
+            model.to_str().unwrap(),
+            "--recent",
+            "1,2,3",
+        ]))
+        .unwrap_err();
+        assert!(err.contains("CRC"), "got: {err}");
+
         cmd_budget(&s(&["--q", "0.06", "--sigma", "2.5", "--eps", "2.0"])).unwrap();
         cmd_budget(&s(&["--q", "0.06", "--sigma", "2.5", "--steps", "100"])).unwrap();
         assert!(cmd_budget(&s(&["--q", "0.06", "--sigma", "2.5"])).is_err());
@@ -456,7 +489,7 @@ mod tests {
             "--data",
             data.to_str().unwrap(),
             "--out",
-            dir.join("m.plpm").to_str().unwrap(),
+            dir.join("m.plps").to_str().unwrap(),
             "--method",
             "magic",
             "--holdout",
