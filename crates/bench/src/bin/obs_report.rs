@@ -24,6 +24,9 @@
 
 use std::process::ExitCode;
 
+use plp_bench::report::{
+    check, phase_breakdown, phase_total, phases_json, sequential_reference, TRAIN_PHASES,
+};
 use plp_bench::runner::Scale;
 use plp_core::experiment::PreparedData;
 use plp_core::plp::{train_plp_resumable, TrainOptions};
@@ -53,12 +56,6 @@ fn parse_opts() -> Opts {
         out: flag("--out").unwrap_or_else(|| "BENCH_obs.json".to_string()),
         log: flag("--log").unwrap_or_else(|| "BENCH_obs_events.jsonl".to_string()),
     }
-}
-
-/// One PASS/FAIL check line; returns the verdict so main can aggregate.
-fn check(ok: bool, what: &str) -> bool {
-    println!("{} {what}", if ok { "PASS" } else { "FAIL" });
-    ok
 }
 
 /// Exact nearest-rank percentile over raw samples (the reference the
@@ -97,52 +94,6 @@ fn histogram_error_check() -> bool {
     ok
 }
 
-/// Snapshots every phase of `family{phase=…}` and prints a breakdown
-/// table; returns `(phase, count, p50, p95, total_ms)` rows for the JSON
-/// report.
-fn phase_breakdown(
-    obs: &Observer,
-    family: &str,
-    phases: &[&str],
-) -> Vec<(String, u64, f64, f64, f64)> {
-    let registry = obs.registry().expect("enabled observer");
-    let mut rows = Vec::new();
-    println!("  {family} breakdown:");
-    for phase in phases {
-        let h = registry
-            .histogram_with(family, Some(("phase", phase)))
-            .snapshot();
-        if h.count() == 0 {
-            continue;
-        }
-        let p50 = h.quantile(0.5).unwrap_or(0.0);
-        let p95 = h.quantile(0.95).unwrap_or(0.0);
-        println!(
-            "    {phase:<14} n={:<6} p50={:.3}ms p95={:.3}ms total={:.1}ms",
-            h.count(),
-            p50,
-            p95,
-            h.sum()
-        );
-        rows.push((phase.to_string(), h.count(), p50, p95, h.sum()));
-    }
-    rows
-}
-
-fn sequential_reference(rec: &Recommender, queries: &[Query]) -> Vec<Vec<usize>> {
-    queries
-        .iter()
-        .map(|q| {
-            if q.exclude.is_empty() {
-                rec.recommend(&q.recent, q.k).expect("sequential recommend")
-            } else {
-                rec.recommend_excluding(&q.recent, q.k, &q.exclude)
-                    .expect("sequential recommend_excluding")
-            }
-        })
-        .collect()
-}
-
 #[allow(clippy::too_many_lines)]
 fn main() -> ExitCode {
     let opts = parse_opts();
@@ -179,21 +130,7 @@ fn main() -> ExitCode {
         hp.budget.epsilon,
         hp.budget.delta
     );
-    let train_rows = phase_breakdown(
-        &observer,
-        "plp_train_phase_ms",
-        &[
-            "sample",
-            "group",
-            "local_sgd",
-            "clip",
-            "noise",
-            "server_update",
-            "accountant",
-            "eval",
-            "checkpoint",
-        ],
-    );
+    let train_rows = phase_breakdown(&observer, "plp_train_phase_ms", &TRAIN_PHASES);
     ok &= check(!train_rows.is_empty(), "training phases recorded");
 
     // Budget gauge: bit-identical to the run summary.
@@ -369,27 +306,9 @@ fn main() -> ExitCode {
         "one step event per executed step",
     );
 
-    let phase_json = |rows: &[(String, u64, f64, f64, f64)]| {
-        serde_json::Value::Array(
-            rows.iter()
-                .map(|(phase, n, p50, p95, total)| {
-                    serde_json::json!({
-                        "phase": phase.clone(),
-                        "count": *n,
-                        "p50_ms": *p50,
-                        "p95_ms": *p95,
-                        "total_ms": *total,
-                    })
-                })
-                .collect(),
-        )
-    };
     // Surface the hottest training phase at the top level so report
     // consumers don't have to dig through the phase array for it.
-    let (local_sgd_count, local_sgd_total_ms) = train_rows
-        .iter()
-        .find(|(phase, ..)| phase == "local_sgd")
-        .map_or((0, 0.0), |&(_, n, _, _, total)| (n, total));
+    let (local_sgd_count, local_sgd_total_ms) = phase_total(&train_rows, "local_sgd");
     let payload = serde_json::json!({
         "bench": "obs",
         "seed": SEED,
@@ -401,14 +320,14 @@ fn main() -> ExitCode {
         "epsilon_spent": outcome.summary.epsilon_spent,
         "epsilon_budget": hp.budget.epsilon,
         "delta": hp.budget.delta,
-        "train_phases": phase_json(&train_rows),
+        "train_phases": phases_json(&train_rows),
         "trace": serde_json::json!({
             "repeats": timing_repeats,
             "untraced_step_ms": untraced_step_ms,
             "traced_step_ms": traced_step_ms,
             "overhead_frac": overhead_frac,
         }),
-        "serve_phases": phase_json(&serve_rows),
+        "serve_phases": phases_json(&serve_rows),
         "serve_qps": t.qps,
         "serve_p99_ms": t.p99_ms,
         "events": kinds.len(),

@@ -36,6 +36,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use bytes::{Buf, Bytes};
+use plp_bench::report::sequential_reference;
 use plp_core::checkpoint::KERNEL_SCHEME_VERSION;
 use plp_core::experiment::{ExperimentConfig, PreparedData};
 use plp_data::generator::{GeneratorConfig, SyntheticGenerator};
@@ -120,20 +121,6 @@ fn build_queries(prep: &PreparedData, target: usize) -> Vec<Query> {
         }
     }
     queries
-}
-
-fn sequential_reference(rec: &Recommender, queries: &[Query]) -> Vec<Vec<usize>> {
-    queries
-        .iter()
-        .map(|q| {
-            if q.exclude.is_empty() {
-                rec.recommend(&q.recent, q.k).expect("sequential recommend")
-            } else {
-                rec.recommend_excluding(&q.recent, q.k, &q.exclude)
-                    .expect("sequential recommend_excluding")
-            }
-        })
-        .collect()
 }
 
 /// A serving-shaped embedding over the generated city: each neighbourhood

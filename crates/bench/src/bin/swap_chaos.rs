@@ -27,6 +27,7 @@ use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
+use plp_bench::report::sequential_reference;
 use plp_model::params::ModelParams;
 use plp_model::plps::PlpsSnapshot;
 use plp_model::Recommender;
@@ -69,20 +70,6 @@ fn queries(vocab: usize, n: usize, seed: u64) -> Vec<Query> {
             } else {
                 let exclude = recent.clone();
                 Query::with_exclusions(recent, 8, exclude)
-            }
-        })
-        .collect()
-}
-
-fn sequential_reference(rec: &Recommender, queries: &[Query]) -> Vec<Vec<usize>> {
-    queries
-        .iter()
-        .map(|q| {
-            if q.exclude.is_empty() {
-                rec.recommend(&q.recent, q.k).expect("recommend")
-            } else {
-                rec.recommend_excluding(&q.recent, q.k, &q.exclude)
-                    .expect("recommend_excluding")
             }
         })
         .collect()

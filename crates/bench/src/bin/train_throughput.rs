@@ -29,6 +29,9 @@
 
 use std::process::ExitCode;
 
+use plp_bench::report::{
+    check, phase_breakdown, phase_total, phases_json, PhaseRows, TRAIN_PHASES,
+};
 use plp_bench::runner::Scale;
 use plp_core::checkpoint::KERNEL_SCHEME_VERSION;
 use plp_core::config::Hyperparameters;
@@ -59,52 +62,6 @@ fn parse_opts() -> Opts {
         smoke: args.iter().any(|a| a == "--smoke"),
         out: flag("--out").unwrap_or_else(|| "BENCH_train.json".to_string()),
     }
-}
-
-/// One PASS/FAIL check line; returns the verdict so main can aggregate.
-fn check(ok: bool, what: &str) -> bool {
-    println!("{} {what}", if ok { "PASS" } else { "FAIL" });
-    ok
-}
-
-/// `(phase, count, p50, p95, total_ms)` rows of one run's breakdown.
-type PhaseRows = Vec<(String, u64, f64, f64, f64)>;
-
-/// Snapshots every phase of `plp_train_phase_ms{phase=…}` and prints a
-/// breakdown table; returns `(phase, count, p50, p95, total_ms)` rows.
-fn phase_breakdown(obs: &Observer) -> PhaseRows {
-    let registry = obs.registry().expect("enabled observer");
-    let mut rows = Vec::new();
-    println!("  plp_train_phase_ms breakdown:");
-    for phase in [
-        "sample",
-        "group",
-        "local_sgd",
-        "clip",
-        "noise",
-        "server_update",
-        "accountant",
-        "eval",
-        "checkpoint",
-    ] {
-        let h = registry
-            .histogram_with("plp_train_phase_ms", Some(("phase", phase)))
-            .snapshot();
-        if h.count() == 0 {
-            continue;
-        }
-        let p50 = h.quantile(0.5).unwrap_or(0.0);
-        let p95 = h.quantile(0.95).unwrap_or(0.0);
-        println!(
-            "    {phase:<14} n={:<6} p50={:.3}ms p95={:.3}ms total={:.1}ms",
-            h.count(),
-            p50,
-            p95,
-            h.sum()
-        );
-        rows.push((phase.to_string(), h.count(), p50, p95, h.sum()));
-    }
-    rows
 }
 
 /// One measured run: the outcome, its observer (for counters/histograms)
@@ -239,18 +196,29 @@ fn main() -> ExitCode {
         .iter()
         .map(|r| {
             println!("threads={}:", r.threads);
-            phase_breakdown(&r.observer)
+            phase_breakdown(&r.observer, "plp_train_phase_ms", &TRAIN_PHASES)
         })
         .collect();
-    // The local_sgd phase is the single biggest slice of the step loop;
-    // its count and wall total feed the --train bench gate.
+    // Every phase but clip (a per-bucket sub-phase nested in local_sgd)
+    // is a disjoint sub-interval of the run, so the step-level totals can
+    // never exceed its wall, whatever the host's timing noise.
+    for (r, rows) in runs.iter().zip(&breakdowns) {
+        let sum: f64 = rows
+            .iter()
+            .filter(|(p, ..)| p != "clip")
+            .map(|row| row.4)
+            .sum();
+        let (threads, wall) = (r.threads, r.outcome.summary.total_wall_ms);
+        let what =
+            format!("step-level phases at threads={threads} sum to {sum:.1}ms <= {wall:.1}ms wall");
+        ok &= check(sum <= wall, &what);
+    }
+    // The local_sgd phase (the executor's wall, once per step) is the
+    // single biggest slice of the step loop; its count and wall total
+    // feed the --train bench gate.
     let local_sgd: Vec<(u64, f64)> = breakdowns
         .iter()
-        .map(|rows| {
-            rows.iter()
-                .find(|(phase, ..)| phase == "local_sgd")
-                .map_or((0, 0.0), |&(_, n, _, _, total)| (n, total))
-        })
+        .map(|rows| phase_total(rows, "local_sgd"))
         .collect();
     let noise_server_ms: Vec<f64> = breakdowns
         .iter()
@@ -343,19 +311,7 @@ fn main() -> ExitCode {
                 "local_sgd_count": *sgd_n,
                 "local_sgd_total_ms": *sgd_ms,
                 "local_sgd_share": *sgd_ms / r.outcome.summary.total_wall_ms.max(1e-9),
-                "phases": serde_json::Value::Array(
-                    rows.iter()
-                        .map(|(phase, n, p50, p95, total)| {
-                            serde_json::json!({
-                                "phase": phase.clone(),
-                                "count": *n,
-                                "p50_ms": *p50,
-                                "p95_ms": *p95,
-                                "total_ms": *total,
-                            })
-                        })
-                        .collect(),
-                ),
+                "phases": phases_json(rows),
             })
         })
         .collect();

@@ -13,6 +13,7 @@
 
 pub mod cli;
 pub mod figures;
+pub mod report;
 pub mod runner;
 
 pub use runner::{Scale, SweepPoint};

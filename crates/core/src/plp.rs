@@ -56,8 +56,8 @@ use plp_model::optimizer::{ServerAdam, ServerSgd};
 use plp_model::params::ModelParams;
 use plp_model::train::{train_on_tokens_with_scratch, TrainScratch};
 use plp_model::Recommender;
-use plp_obs::trace::{derive_span_id, derive_trace_id, TraceContext, DOMAIN_TRAIN_STEP};
-use plp_obs::{Counter, Gauge, HistogramHandle, Observer};
+use plp_obs::trace::{derive_trace_id, DOMAIN_TRAIN_STEP};
+use plp_obs::{Counter, Gauge, HistogramHandle, Observer, Span, SpanParent};
 use plp_privacy::accountant::MomentsAccountant;
 use plp_privacy::mechanism::GaussianMechanism;
 use plp_privacy::PrivacyLedger;
@@ -163,11 +163,11 @@ pub struct BucketUpdate {
     pub clipped: bool,
 }
 
-/// Per-bucket phase histograms, resolved once per step and shared by all
-/// bucket workers (recording is thread-safe and cannot influence the
-/// bucket's RNG or result).
+/// Per-bucket metrics, resolved once per step and shared by all bucket
+/// workers (recording is thread-safe and cannot influence the bucket's
+/// RNG or result). `clip` is the one per-bucket phase, nested inside the
+/// step-level `local_sgd` phase the training loop times.
 struct BucketPhases {
-    local_sgd: HistogramHandle,
     clip: HistogramHandle,
     pairs: Counter,
 }
@@ -175,7 +175,6 @@ struct BucketPhases {
 impl BucketPhases {
     fn resolve(obs: &Observer) -> Self {
         BucketPhases {
-            local_sgd: obs.histogram_with("plp_train_phase_ms", "phase", "local_sgd"),
             clip: obs.histogram_with("plp_train_phase_ms", "phase", "clip"),
             pairs: obs.counter("plp_train_pairs_total"),
         }
@@ -225,7 +224,6 @@ fn model_update_from_bucket(
     // A previous bucket on this worker may have panicked mid-update and
     // left stale Φ rows in the overlay; the next bucket must start clean.
     journal.reset();
-    let span = phases.local_sgd.start_span();
     let stats = {
         let mut phi = CowParams::new(theta, journal);
         train_on_tokens_with_scratch(
@@ -238,12 +236,11 @@ fn model_update_from_bucket(
             None,
         )?
     };
-    span.finish();
     phases.pairs.add(stats.pairs as u64);
     let mut grad = journal.take_delta(theta);
-    let span = phases.clip.start_span();
+    let clip = Span::new(&phases.clip);
     let report = clip_per_layer(&mut grad, hp.clip_norm)?;
-    span.finish();
+    clip.finish();
     Ok(BucketUpdate {
         index,
         grad,
@@ -321,13 +318,13 @@ fn compute_bucket_updates(
             .map(|(i, b)| guarded_bucket_update(theta, b, hp, i, &ctx, &mut scratch))
             .collect::<Result<_, _>>()?
     } else {
-        let collected = crossbeam::thread::scope(|scope| {
+        let collected = std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(threads);
             for w in 0..threads {
                 let theta_ref = &*theta;
                 let hp_ref = &*hp;
                 let ctx_ref = &ctx;
-                handles.push(scope.spawn(move |_| {
+                handles.push(scope.spawn(move || {
                     // One scratch per worker: buckets on the same worker
                     // reuse its journal and training buffers.
                     let mut scratch = BucketScratch::default();
@@ -351,8 +348,7 @@ fn compute_bucket_updates(
                 .into_iter()
                 .flat_map(|h| h.join().expect("bucket worker escaped its panic barrier"))
                 .collect::<Vec<_>>()
-        })
-        .expect("crossbeam scope");
+        });
         collected.into_iter().collect::<Result<Vec<_>, _>>()?
     };
     let skipped = results.iter().filter(|r| r.is_none()).count();
@@ -779,6 +775,7 @@ fn run_loop(
     let obs = &opts.observer;
     let ph_sample = obs.histogram_with("plp_train_phase_ms", "phase", "sample");
     let ph_group = obs.histogram_with("plp_train_phase_ms", "phase", "group");
+    let ph_local_sgd = obs.histogram_with("plp_train_phase_ms", "phase", "local_sgd");
     let ph_noise = obs.histogram_with("plp_train_phase_ms", "phase", "noise");
     let ph_server = obs.histogram_with("plp_train_phase_ms", "phase", "server_update");
     let ph_accountant = obs.histogram_with("plp_train_phase_ms", "phase", "accountant");
@@ -826,39 +823,21 @@ fn run_loop(
         let step_start = std::time::Instant::now();
         let mut rng = step_rng(state.run_seed, step);
 
-        // `(&tracer, trace_id, step span id)` for this step, or None.
-        let step_trace = tracer.as_ref().map(|t| {
+        // The step's root span; every phase span below parents under it.
+        let t_step = tracer.as_deref().map(|t| {
             let trace_id = derive_trace_id(state.run_seed, DOMAIN_TRAIN_STEP, step);
-            (t, trace_id, derive_span_id(trace_id, "step", step))
+            SpanParent::new(t, "train", trace_id, 0)
+                .child("step", step)
+                .arg("step", step)
         });
-        let t_step =
-            step_trace.map(|(t, tid, sid)| t.span("step", "train", tid, sid, 0).arg("step", step));
+        let step_ctx = t_step.as_ref().and_then(Span::context);
 
         // Line 5: Poisson user sampling.
-        let sample_span = ph_sample.start_span();
-        let t_sample = step_trace.map(|(t, tid, sid)| {
-            t.span(
-                "sample",
-                "train",
-                tid,
-                derive_span_id(tid, "sample", step),
-                sid,
-            )
-        });
+        let sample_span = Span::new(&ph_sample).traced(step_ctx, "sample", step);
         let sampled = sample_users(&mut rng, num_users, hp.sampling_prob)?;
-        drop(t_sample);
         sample_span.finish();
         // Line 6: data grouping.
-        let group_span = ph_group.start_span();
-        let t_group = step_trace.map(|(t, tid, sid)| {
-            t.span(
-                "group",
-                "train",
-                tid,
-                derive_span_id(tid, "group", step),
-                sid,
-            )
-        });
+        let group_span = Span::new(&ph_group).traced(step_ctx, "group", step);
         let buckets = if omega == 1 {
             group_data(
                 &mut rng,
@@ -884,26 +863,23 @@ fn run_loop(
                 Err(e) => return Err(e.into()),
             }
         };
-        drop(t_group);
         group_span.finish();
         debug_assert!(realized_split_factor(&buckets) <= omega);
 
         // Lines 7-8, 15-22: per-bucket clipped deltas, each behind a panic
         // barrier; poisoned buckets are dropped (DP-safe, see module docs).
-        // The local_sgd span is published as the trace *scope* so a
-        // multi-process executor can parent its round under it — the
-        // step_seed is drawn after sampling, so the executor could not
-        // re-derive this step's trace id on its own.
+        // The local_sgd phase is the executor's wall time, once per step.
+        // Its span is published as the trace *scope* so a multi-process
+        // executor can parent its round under it — the step_seed is drawn
+        // after sampling, so the executor could not re-derive this step's
+        // trace id on its own. The scope guard clears it on every exit.
         let step_seed: u64 = rng.random();
-        let t_local = step_trace.map(|(t, tid, sid)| {
-            let local_id = derive_span_id(tid, "local_sgd", step);
-            obs.set_trace_scope(Some(TraceContext {
-                trace_id: tid,
-                parent_span: local_id,
-            }));
-            t.span("local_sgd", "train", tid, local_id, sid)
-                .arg("buckets", buckets.len() as u64)
-        });
+        let local_sgd_span = Span::new(&ph_local_sgd)
+            .traced(step_ctx, "local_sgd", step)
+            .arg("buckets", buckets.len() as u64);
+        let scope = local_sgd_span
+            .context()
+            .map(|p| obs.enter_trace_scope(p.context()));
         let (updates, skipped) = executor.execute_step(
             &state.params,
             &buckets,
@@ -913,10 +889,8 @@ fn run_loop(
             &opts.faults,
             obs,
         )?;
-        if t_local.is_some() {
-            obs.set_trace_scope(None);
-        }
-        drop(t_local);
+        drop(scope);
+        local_sgd_span.finish();
 
         if !buckets.is_empty() && updates.is_empty() && skipped > 0 {
             // Every formed bucket was poisoned: no signal survives, so the
@@ -971,16 +945,7 @@ fn run_loop(
         // bit-identical for every thread count. The fixed-denominator
         // average by the expected bucket count q·W/λ — never the realised
         // (sample-dependent) |H_t| — rides the same row pass.
-        let noise_span = ph_noise.start_span();
-        let t_noise = step_trace.map(|(t, tid, sid)| {
-            t.span(
-                "noise",
-                "train",
-                tid,
-                derive_span_id(tid, "noise", step),
-                sid,
-            )
-        });
+        let noise_span = Span::new(&ph_noise).traced(step_ctx, "noise", step);
         let mut aggregate = ModelParams::zeros(state.params.vocab_size(), state.params.dim());
         for u in &updates {
             u.grad.accumulate_into(&mut aggregate)?;
@@ -993,42 +958,21 @@ fn run_loop(
             1.0 / denom,
             hp.effective_threads(),
         );
-        drop(t_noise);
         noise_span.finish();
 
         // Line 10: model update, fanned over the same worker count.
-        let server_span = ph_server.start_span();
-        let t_server = step_trace.map(|(t, tid, sid)| {
-            t.span(
-                "server_update",
-                "train",
-                tid,
-                derive_span_id(tid, "server_update", step),
-                sid,
-            )
-        });
+        let server_span = Span::new(&ph_server).traced(step_ctx, "server_update", step);
         state
             .server
             .step_threaded(&mut state.params, &aggregate, hp.effective_threads())?;
-        drop(t_server);
         server_span.finish();
 
         // Line 11: ledger tracking. The effective noise multiplier stays σ
         // for any ω: noise std σCω over sensitivity ωC.
-        let accountant_span = ph_accountant.start_span();
-        let t_acct = step_trace.map(|(t, tid, sid)| {
-            t.span(
-                "accountant",
-                "train",
-                tid,
-                derive_span_id(tid, "accountant", step),
-                sid,
-            )
-        });
+        let accountant_span = Span::new(&ph_accountant).traced(step_ctx, "accountant", step);
         state
             .accountant
             .step(hp.sampling_prob, hp.noise_multiplier)?;
-        drop(t_acct);
         accountant_span.finish();
         emit_privacy_burn(
             obs,
@@ -1042,16 +986,12 @@ fn run_loop(
 
         let validation_hr10 = match validation {
             Some(v) if hp.eval_every > 0 && step.is_multiple_of(hp.eval_every as u64) => {
-                let eval_span = ph_eval.start_span();
-                let t_eval = step_trace.map(|(t, tid, sid)| {
-                    t.span("eval", "train", tid, derive_span_id(tid, "eval", step), sid)
-                });
+                let eval_span = Span::new(&ph_eval).traced(step_ctx, "eval", step);
                 let rec = Recommender::new(&state.params);
                 // Leave-one-out trials fan out over `hp.threads` workers;
                 // the ordered integer-count reduction makes the metric
                 // identical for any thread count.
                 let hr = evaluate_hit_rate_threaded(&rec, v, &[10], hp.effective_threads())?;
-                drop(t_eval);
                 eval_span.finish();
                 Some(hr[0].rate())
             }
@@ -1094,18 +1034,8 @@ fn run_loop(
 
         if let Some(policy) = &opts.checkpoint {
             if policy.every > 0 && step.is_multiple_of(policy.every) {
-                let ckpt_span = ph_checkpoint.start_span();
-                let t_ckpt = step_trace.map(|(t, tid, sid)| {
-                    t.span(
-                        "checkpoint",
-                        "train",
-                        tid,
-                        derive_span_id(tid, "checkpoint", step),
-                        sid,
-                    )
-                });
+                let ckpt_span = Span::new(&ph_checkpoint).traced(step_ctx, "checkpoint", step);
                 state.persist(policy, &opts.faults)?;
-                drop(t_ckpt);
                 ckpt_span.finish();
                 obs.emit("checkpoint_saved", json!({ "step": step }));
             }
@@ -1122,7 +1052,7 @@ fn run_loop(
     // killed process, which would only have its periodic saves on disk.
     if stop_reason != StopReason::Interrupted {
         if let Some(policy) = &opts.checkpoint {
-            let ckpt_span = ph_checkpoint.start_span();
+            let ckpt_span = Span::new(&ph_checkpoint);
             state.persist(policy, &opts.faults)?;
             ckpt_span.finish();
             obs.emit("checkpoint_saved", json!({ "step": state.step }));
@@ -1646,7 +1576,10 @@ mod tests {
     #[test]
     fn epsilon_gauge_matches_summary_exactly_and_renders() {
         let ds = tiny_dataset(24);
-        let hp = fast_hp();
+        let hp = Hyperparameters {
+            threads: 2,
+            ..fast_hp()
+        };
         let opts = TrainOptions {
             observer: Observer::new("gauges"),
             ..TrainOptions::default()
@@ -1671,6 +1604,17 @@ mod tests {
             obs.counter("plp_train_steps_total").get(),
             out.summary.steps
         );
+        // local_sgd is the executor's wall once per step, not a per-bucket
+        // sum across worker threads; clip stays a per-bucket sub-phase.
+        let phase = |name| {
+            obs.histogram_with("plp_train_phase_ms", "phase", name)
+                .snapshot()
+                .count()
+        };
+        assert_eq!(phase("local_sgd"), out.summary.steps);
+        let buckets: usize = out.telemetry.iter().map(|t| t.buckets).sum();
+        assert!(buckets as u64 > out.summary.steps, "buckets run per step");
+        assert_eq!(phase("clip"), buckets as u64);
 
         let text = obs.render_prometheus();
         for phase in [
@@ -1871,8 +1815,47 @@ mod tests {
     }
 
     #[test]
-    fn tracing_is_invisible_to_the_trained_bits_and_deterministic() {
+    fn failed_executor_step_clears_the_trace_scope() {
         use plp_obs::trace::TraceConfig;
+
+        /// Fails the first step, after checking the scope was published.
+        struct FailingExecutor;
+        impl BucketExecutor for FailingExecutor {
+            fn execute_step(
+                &mut self,
+                _theta: &ModelParams,
+                _buckets: &[Bucket],
+                _hp: &Hyperparameters,
+                _step_seed: u64,
+                _step: u64,
+                _faults: &FaultInjector,
+                obs: &Observer,
+            ) -> Result<(Vec<BucketUpdate>, usize), CoreError> {
+                assert!(obs.trace_scope().is_some(), "scope published for the step");
+                Err(CoreError::BadConfig {
+                    name: "executor",
+                    expected: "a step that succeeds",
+                })
+            }
+        }
+
+        let ds = tiny_dataset(24);
+        let opts = TrainOptions {
+            observer: Observer::new("failing"),
+            ..TrainOptions::default()
+        };
+        opts.observer.attach_tracer(TraceConfig::named("trainer"));
+        let err = train_plp_with_executor(3, &ds, None, &fast_hp(), &opts, &mut FailingExecutor);
+        assert!(err.is_err());
+        assert!(
+            opts.observer.trace_scope().is_none(),
+            "a failed step must not leave its trace scope behind"
+        );
+    }
+
+    #[test]
+    fn tracing_is_invisible_to_the_trained_bits_and_deterministic() {
+        use plp_obs::trace::{derive_span_id, TraceConfig};
 
         let ds = tiny_dataset(24);
         let hp = fast_hp();

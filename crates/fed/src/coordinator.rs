@@ -44,7 +44,7 @@ use plp_core::CoreError;
 use plp_data::grouping::Bucket;
 use plp_model::params::ModelParams;
 use plp_obs::trace::{derive_span_id, derive_trace_id, TraceContext, Tracer, DOMAIN_FED_ROUND};
-use plp_obs::Observer;
+use plp_obs::{Observer, Span, SpanParent};
 use serde_json::json;
 
 use crate::error::FedError;
@@ -358,21 +358,16 @@ impl FedExecutor {
             assignments: assignments.to_vec(),
         };
         let trace = self.round_trace(obs, step, step_seed);
-        let wire_ctx = trace.as_ref().map(|(_, round, _)| TraceContext {
-            trace_id: round.trace_id,
-            parent_span: derive_span_id(round.trace_id, "fed_send", attempt),
+        let send_span = trace.as_ref().map(|(t, round, _)| {
+            SpanParent::new(t, "fed", round.trace_id, round.parent_span)
+                .child("fed_send", attempt)
+                .arg("slot", slot as u64)
+                .arg("attempt", attempt)
         });
-        let send_span = trace.as_ref().zip(wire_ctx).map(|((t, round, _), ctx)| {
-            t.span(
-                "fed_send",
-                "fed",
-                round.trace_id,
-                ctx.parent_span,
-                round.parent_span,
-            )
-            .arg("slot", slot as u64)
-            .arg("attempt", attempt)
-        });
+        let wire_ctx = send_span
+            .as_ref()
+            .and_then(Span::context)
+            .map(|p| p.context());
         let handle = self.workers[slot]
             .as_mut()
             .ok_or_else(|| FedError::Protocol {
@@ -481,8 +476,6 @@ impl BucketExecutor for FedExecutor {
         if buckets.is_empty() {
             return Ok((Vec::new(), 0));
         }
-        let round_span = obs.histogram("plp_fed_round_ms").start_span();
-
         // Resolve tracing once per round; workers spawned this round
         // inherit the dump directory so their flight recorders land next
         // to the coordinator's.
@@ -491,17 +484,14 @@ impl BucketExecutor for FedExecutor {
             t.dump_path()
                 .and_then(|p| p.parent().map(std::path::Path::to_path_buf))
         });
-        let fed_span = trace.as_ref().map(|(t, round, parent)| {
-            t.span(
-                "fed_round",
-                "fed",
-                round.trace_id,
-                round.parent_span,
-                *parent,
-            )
+        let round_hist = obs.histogram("plp_fed_round_ms");
+        let round_parent = trace
+            .as_ref()
+            .map(|(t, round, parent)| SpanParent::new(t, "fed", round.trace_id, *parent));
+        let round_span = Span::new(&round_hist)
+            .traced(round_parent, "fed_round", step)
             .arg("step", step)
-            .arg("buckets", buckets.len() as u64)
-        });
+            .arg("buckets", buckets.len() as u64);
 
         self.ensure_workers(hp, faults)?;
 
@@ -741,7 +731,6 @@ impl BucketExecutor for FedExecutor {
         // Fixed reduction order: ascending global bucket index, exactly
         // like the in-process executor.
         updates.sort_by_key(|u| u.index);
-        drop(fed_span);
         round_span.finish();
 
         obs.counter("plp_fed_rounds_total").inc();

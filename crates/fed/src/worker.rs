@@ -20,8 +20,8 @@ use std::path::PathBuf;
 
 use plp_core::faults::FaultInjector;
 use plp_core::plp::BucketRunner;
-use plp_obs::trace::{derive_span_id, TraceConfig, TraceContext};
-use plp_obs::Observer;
+use plp_obs::trace::{TraceConfig, TraceContext};
+use plp_obs::{Observer, Span, SpanParent};
 
 use crate::frame::{encode_frame, read_frame_event, FrameEvent};
 use crate::protocol::{
@@ -225,36 +225,17 @@ fn handle_round(
     // span via the frame-header context; its id is a pure function of
     // (trace_id, attempt), so the coordinator-side stitcher can predict
     // it without a return channel.
-    let round_span = match (&tracer, ctx) {
-        (Some(t), Some(c)) => Some(
-            t.span(
-                "fed_worker_round",
-                "fed",
-                c.trace_id,
-                derive_span_id(c.trace_id, "fed_worker_round", req.attempt),
-                c.parent_span,
-            )
+    let round_span = tracer.as_deref().zip(ctx).map(|(t, c)| {
+        SpanParent::new(t, "fed", c.trace_id, c.parent_span)
+            .child("fed_worker_round", req.attempt)
             .arg("step", req.step)
-            .arg("incarnation", incarnation),
-        ),
-        _ => None,
-    };
+            .arg("incarnation", incarnation)
+    });
+    let round_ctx = round_span.as_ref().and_then(Span::context);
 
     let mut results = Vec::with_capacity(req.assignments.len());
     for (index, bucket) in &req.assignments {
-        let _bucket_span = match (&tracer, ctx, &round_span) {
-            (Some(t), Some(c), Some(rs)) => Some(
-                t.span(
-                    "fed_bucket",
-                    "fed",
-                    c.trace_id,
-                    derive_span_id(c.trace_id, "fed_bucket", *index),
-                    rs.span_id(),
-                )
-                .arg("bucket", *index),
-            ),
-            _ => None,
-        };
+        let _bucket_span = round_ctx.map(|p| p.child("fed_bucket", *index).arg("bucket", *index));
         let update = st
             .runner
             .run_bucket(
@@ -519,7 +500,7 @@ mod tests {
     #[test]
     fn traced_round_parents_worker_spans_under_the_wire_context() {
         use crate::frame::encode_frame_traced;
-        use plp_obs::trace::{derive_trace_id, DOMAIN_FED_ROUND};
+        use plp_obs::trace::{derive_span_id, derive_trace_id, DOMAIN_FED_ROUND};
 
         let ctx = TraceContext {
             trace_id: derive_trace_id(42, DOMAIN_FED_ROUND, 1),

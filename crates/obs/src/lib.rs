@@ -12,8 +12,10 @@
 //!   histograms behind cheap `Arc` handles, with a
 //!   **Prometheus-text-format** exporter
 //!   ([`MetricsRegistry::render_prometheus`]),
-//! * [`span::Span`] — hand-rolled **phase-span timing** (no `tracing`
-//!   crate; the build is offline) recording per-phase latency histograms,
+//! * [`span::Span`] — the one **span guard** (no `tracing` crate; the
+//!   build is offline): a single clock-read pair per interval feeds both
+//!   the phase latency histogram and, when traced, the [`trace`] flight
+//!   recorder, and `finish()` hands the duration to callers that need it,
 //! * [`events::EventSink`] — a **structured JSONL event log** written
 //!   one `write_all` per line, so a killed run leaves a readable log.
 //!
@@ -38,8 +40,8 @@ use serde_json::Value;
 use events::EventSink;
 pub use hist::Histogram;
 pub use registry::{Counter, Gauge, HistogramHandle, MetricsRegistry};
-pub use span::Span;
-pub use trace::{TraceConfig, TraceContext, TraceSpan, Tracer};
+pub use span::{Span, SpanParent};
+pub use trace::{TraceConfig, TraceContext, Tracer};
 
 /// The shared state behind an enabled [`Observer`].
 #[derive(Debug)]
@@ -57,6 +59,18 @@ struct ObserverCore {
     /// their spans parent correctly without threading context through
     /// every call signature.
     trace_scope: Mutex<Option<TraceContext>>,
+}
+
+/// Clears the observer's trace scope when dropped; returned by
+/// [`Observer::enter_trace_scope`].
+#[derive(Debug)]
+#[must_use = "the scope is cleared as soon as the guard drops"]
+pub struct TraceScope<'o>(&'o Observer);
+
+impl Drop for TraceScope<'_> {
+    fn drop(&mut self) {
+        self.0.store_trace_scope(None);
+    }
 }
 
 /// One observability context for a run: a metrics registry plus an
@@ -138,10 +152,16 @@ impl Observer {
     }
 
     /// Publishes the trace context the current unit of work (train
-    /// step, fed round) runs under; executors read it with
+    /// step, fed round) runs under until the returned guard drops — on
+    /// every exit path, `?` included. Executors read it with
     /// [`Observer::trace_scope`] to parent their spans without context
     /// threading through every call signature. No-op when disabled.
-    pub fn set_trace_scope(&self, ctx: Option<TraceContext>) {
+    pub fn enter_trace_scope(&self, ctx: TraceContext) -> TraceScope<'_> {
+        self.store_trace_scope(Some(ctx));
+        TraceScope(self)
+    }
+
+    fn store_trace_scope(&self, ctx: Option<TraceContext>) {
         if let Some(core) = &self.inner {
             if let Ok(mut scope) = core.trace_scope.lock() {
                 *scope = ctx;
@@ -206,11 +226,6 @@ impl Observer {
             .map_or_else(HistogramHandle::default, |c| {
                 c.registry.histogram_with(name, Some((key, value)))
             })
-    }
-
-    /// Starts a [`Span`] recording into `name{phase="..."}` when it ends.
-    pub fn span(&self, name: &str, phase: &str) -> Span {
-        self.histogram_with(name, "phase", phase).start_span()
     }
 
     /// Appends one event to the JSONL sink as
@@ -278,7 +293,7 @@ mod tests {
         obs.counter("c").inc();
         obs.gauge("g").set(1.0);
         obs.histogram("h").record(1.0);
-        obs.span("p", "x").finish();
+        Span::new(&obs.histogram_with("p", "phase", "x")).finish();
         obs.emit("step", serde_json::json!({"step": 1}));
         assert_eq!(obs.captured_events().len(), 0);
         assert_eq!(obs.render_prometheus(), "");
@@ -318,7 +333,7 @@ mod tests {
         let obs = Observer::new("render");
         obs.counter("plp_steps_total").inc();
         obs.gauge("plp_epsilon_spent").set(0.75);
-        obs.span("plp_train_phase_ms", "sample").finish();
+        Span::new(&obs.histogram_with("plp_train_phase_ms", "phase", "sample")).finish();
         let text = obs.render_prometheus();
         assert!(text.contains("plp_steps_total 1"), "{text}");
         assert!(text.contains("plp_epsilon_spent 0.75"), "{text}");

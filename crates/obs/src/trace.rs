@@ -340,40 +340,19 @@ impl Tracer {
     /// Microseconds since this tracer's epoch.
     #[must_use]
     pub fn now_us(&self) -> u64 {
-        u64::try_from(self.epoch.elapsed().as_micros()).unwrap_or(u64::MAX)
+        self.micros_at(Instant::now())
+    }
+
+    /// Microseconds from this tracer's epoch to `at` (0 before it).
+    #[must_use]
+    pub fn micros_at(&self, at: Instant) -> u64 {
+        u64::try_from(at.saturating_duration_since(self.epoch).as_micros()).unwrap_or(u64::MAX)
     }
 
     /// The underlying flight recorder.
     #[must_use]
     pub fn recorder(&self) -> &FlightRecorder {
         &self.recorder
-    }
-
-    /// Starts a span; it records itself into the flight recorder when
-    /// dropped (or [`TraceSpan::finish`]ed).
-    #[must_use]
-    pub fn span(
-        &self,
-        name: &'static str,
-        cat: &'static str,
-        trace_id: u64,
-        span_id: u64,
-        parent_id: u64,
-    ) -> TraceSpan<'_> {
-        TraceSpan {
-            tracer: self,
-            rec: SpanRecord {
-                trace_id,
-                span_id,
-                parent_id,
-                name,
-                cat,
-                kind: RecordKind::Span,
-                ts_us: self.now_us(),
-                dur_us: 0,
-                args: NO_ARGS,
-            },
-        }
     }
 
     /// Records a completed span with explicit start/end timestamps (for
@@ -482,44 +461,6 @@ impl Tracer {
             self.fault_dumps.fetch_add(1, Ordering::Relaxed);
             let _ = self.dump_to(path, reason);
         }
-    }
-}
-
-/// RAII span guard: measures from creation to drop and records into the
-/// tracer's flight recorder.
-#[derive(Debug)]
-pub struct TraceSpan<'t> {
-    tracer: &'t Tracer,
-    rec: SpanRecord,
-}
-
-impl TraceSpan<'_> {
-    /// Attaches an integer argument (two slots; extras are ignored).
-    #[must_use]
-    pub fn arg(mut self, name: &'static str, value: u64) -> Self {
-        for slot in &mut self.rec.args {
-            if slot.0.is_empty() {
-                *slot = (name, value);
-                break;
-            }
-        }
-        self
-    }
-
-    /// This span's id, for parenting children under it.
-    #[must_use]
-    pub fn span_id(&self) -> u64 {
-        self.rec.span_id
-    }
-
-    /// Ends the span now (same as dropping it).
-    pub fn finish(self) {}
-}
-
-impl Drop for TraceSpan<'_> {
-    fn drop(&mut self) {
-        self.rec.dur_us = self.tracer.now_us().saturating_sub(self.rec.ts_us);
-        self.tracer.recorder.record(self.rec);
     }
 }
 
@@ -937,39 +878,6 @@ mod tests {
     }
 
     #[test]
-    fn span_guard_records_on_drop_with_args() {
-        let tracer = Tracer::new(TraceConfig::named("test"));
-        let tid = derive_trace_id(1, DOMAIN_TRAIN_STEP, 0);
-        {
-            let span = tracer
-                .span("step", "train", tid, derive_span_id(tid, "step", 0), 0)
-                .arg("step", 7);
-            let child = tracer
-                .span(
-                    "sample",
-                    "train",
-                    tid,
-                    derive_span_id(tid, "sample", 0),
-                    span.span_id(),
-                )
-                .arg("n", 3)
-                .arg("m", 4)
-                .arg("ignored", 5);
-            child.finish();
-            span.finish();
-        }
-        let recs = tracer.snapshot();
-        assert_eq!(recs.len(), 2);
-        // Child finished first, so it is recorded first.
-        assert_eq!(recs[0].name, "sample");
-        assert_eq!(recs[0].args[0], ("n", 3));
-        assert_eq!(recs[0].args[1], ("m", 4), "third arg dropped");
-        assert_eq!(recs[1].name, "step");
-        assert_eq!(recs[0].parent_id, recs[1].span_id);
-        assert_eq!(recs[0].trace_id, recs[1].trace_id);
-    }
-
-    #[test]
     fn dump_and_parse_round_trip_including_torn_final_line() {
         let dir = std::env::temp_dir().join(format!("plp_trace_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -977,14 +885,8 @@ mod tests {
 
         let tracer = Tracer::new(TraceConfig::named("coordinator").dump_to(path.clone()));
         let tid = derive_trace_id(9, DOMAIN_FED_ROUND, 1);
-        tracer
-            .span(
-                "fed_round",
-                "fed",
-                tid,
-                derive_span_id(tid, "fed_round", 1),
-                0,
-            )
+        crate::SpanParent::new(&tracer, "fed", tid, 0)
+            .child("fed_round", 1)
             .arg("step", 1)
             .finish();
         tracer.instant("fed_straggler", "fed", tid, 0, [("slot", 2), ("", 0)]);

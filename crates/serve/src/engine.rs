@@ -21,7 +21,7 @@ use plp_linalg::topk::{top_k_with_scores_into, TopKScratch};
 use plp_model::recommender::mask_excluded;
 use plp_model::{ModelError, Recommender};
 use plp_obs::trace::{derive_span_id, derive_trace_id, fnv1a64, Tracer, DOMAIN_SERVE_QUERY};
-use plp_obs::{HistogramHandle, Observer};
+use plp_obs::{HistogramHandle, Observer, Span, SpanParent};
 
 use crate::cache::LruCache;
 use crate::error::ServeError;
@@ -420,8 +420,10 @@ impl BatchEngine {
         });
 
         // Phase 1: cache lookups (single short critical section).
-        let lookup_span = self.phases.cache_lookup.start_span();
-        let lookup_start = Instant::now();
+        let lookup_parent = self.query_parent(trace_base, 0);
+        let lookup_span = Span::new(&self.phases.cache_lookup)
+            .traced(lookup_parent, "cache_lookup", trace_base.unwrap_or(0))
+            .arg("queries", queries.len() as u64);
         let mut results: Vec<Option<Vec<usize>>> = vec![None; queries.len()];
         let keys: Vec<QueryKey> = queries
             .iter()
@@ -437,25 +439,7 @@ impl BatchEngine {
                 }
             }
         }
-        let lookup_ms = ms_since(lookup_start);
-        lookup_span.finish();
-        if let (Some(t), Some(base)) = (&self.tracer, trace_base) {
-            let (tid, root) = self.query_trace(base, 0);
-            let end = t.now_us();
-            t.record_span_at(
-                "cache_lookup",
-                "serve",
-                tid,
-                derive_span_id(tid, "cache_lookup", base),
-                root,
-                end.saturating_sub(elapsed_us(lookup_start)),
-                end,
-                [
-                    ("queries", queries.len() as u64),
-                    ("misses", misses.len() as u64),
-                ],
-            );
-        }
+        let lookup_ms = lookup_span.arg("misses", misses.len() as u64).finish();
 
         // Phase 2: score the misses in batches, striped across workers.
         let batch_results = self.score_misses(queries, &misses, call_start, trace_base)?;
@@ -482,7 +466,7 @@ impl BatchEngine {
         }
         state.queries += queries.len() as u64;
         state.batches += num_batches;
-        state.wall_ms += ms_since(call_start);
+        state.wall_ms += call_start.elapsed().as_secs_f64() * 1e3;
         drop(state);
         self.obs
             .counter("plp_serve_queries_total")
@@ -497,8 +481,7 @@ impl BatchEngine {
         // ascending (it was built by a forward scan), so a binary search
         // tells hit from miss.
         if let (Some(t), Some(base)) = (&self.tracer, trace_base) {
-            let end = t.now_us();
-            let start = end.saturating_sub(elapsed_us(call_start));
+            let (start, end) = (t.micros_at(call_start), t.now_us());
             for (i, q) in queries.iter().enumerate() {
                 let (tid, root) = self.query_trace(base, i);
                 t.record_span_at(
@@ -569,6 +552,14 @@ impl BatchEngine {
         (tid, derive_span_id(tid, "serve_query", idx))
     }
 
+    /// The parent of stage spans for the query at position `qi`: its
+    /// trace, under its root span (`None` when untraced).
+    fn query_parent(&self, trace_base: Option<u64>, qi: usize) -> Option<SpanParent<'_>> {
+        let (tracer, base) = self.tracer.as_deref().zip(trace_base)?;
+        let (trace_id, root) = self.query_trace(base, qi);
+        Some(SpanParent::new(tracer, "serve", trace_id, root))
+    }
+
     fn validate_queries(&self, queries: &[Query]) -> Result<(), ServeError> {
         let vocab = self.rec.vocab_size();
         for (index, q) in queries.iter().enumerate() {
@@ -593,8 +584,7 @@ impl BatchEngine {
 
     /// Scores `misses` (positions into `queries`) in batches of at most
     /// `max_batch`, batch `b` on worker `b % workers`. `enqueued_at` is
-    /// when the serve call admitted these misses; the gap until a batch
-    /// actually starts scoring is recorded as its `queue_wait` phase.
+    /// when the serve call admitted these misses.
     fn score_misses(
         &self,
         queries: &[Query],
@@ -607,41 +597,32 @@ impl BatchEngine {
         }
         let batches: Vec<&[usize]> = misses.chunks(self.cfg.max_batch).collect();
         let workers = self.cfg.workers.min(batches.len());
-        let outcome: Vec<Result<Vec<BatchResult>, ServeError>> =
-            crossbeam::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|w| {
-                        let batches = &batches;
-                        scope.spawn(move |_| {
-                            let mut scratch = self.take_scratch();
-                            let mut produced = Vec::new();
-                            for batch in batches.iter().skip(w).step_by(workers) {
-                                self.phases.queue_wait.record_ms_since(enqueued_at);
-                                match self.score_batch(
-                                    queries,
-                                    batch,
-                                    &mut scratch,
-                                    enqueued_at,
-                                    trace_base,
-                                ) {
-                                    Ok(br) => produced.push(br),
-                                    Err(e) => {
-                                        self.return_scratch(scratch);
-                                        return Err(e);
-                                    }
-                                }
-                            }
-                            self.return_scratch(scratch);
-                            Ok(produced)
-                        })
+        let outcome: Vec<Result<Vec<BatchResult>, ServeError>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|w| {
+                    let batches = &batches;
+                    scope.spawn(move || {
+                        let mut scratch = self.take_scratch();
+                        // Stops at the first failing batch, like the
+                        // caller's reduction.
+                        let produced = batches
+                            .iter()
+                            .skip(w)
+                            .step_by(workers)
+                            .map(|b| {
+                                self.score_batch(queries, b, &mut scratch, enqueued_at, trace_base)
+                            })
+                            .collect();
+                        self.return_scratch(scratch);
+                        produced
                     })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("serve worker panicked"))
-                    .collect()
-            })
-            .expect("serve scope panicked");
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("serve worker panicked"))
+                .collect()
+        });
         let mut out = Vec::with_capacity(batches.len());
         for worker_result in outcome {
             out.extend(worker_result?);
@@ -649,14 +630,11 @@ impl BatchEngine {
         Ok(out)
     }
 
-    /// Scores one batch. Both paths stack the batch's profiles first;
-    /// then the exhaustive path runs the blocked kernel over all `vocab`
-    /// rows while the ANN path searches the IVF shortlist per query. The
-    /// exhaustive path reuses the sequential path's kernels in the
-    /// sequential path's order, keeping it bit-identical to
-    /// `Recommender::recommend_excluding`; the ANN path is exact over the
-    /// probed cells and equals the exhaustive path when `nprobe = cells`.
-    #[allow(clippy::too_many_lines)]
+    /// Scores one batch; the gap since `enqueued_at` is its `queue_wait`.
+    /// Batch-level spans parent under the *first* member query's root
+    /// span; per-query stage spans (probe/re-rank) are indexed by the
+    /// query's own sequence number, so every id in the dump is
+    /// recomputable.
     fn score_batch(
         &self,
         queries: &[Query],
@@ -665,137 +643,141 @@ impl BatchEngine {
         enqueued_at: Instant,
         trace_base: Option<u64>,
     ) -> Result<BatchResult, ServeError> {
+        let parent = self.query_parent(trace_base, batch[0]);
+        let base = trace_base.unwrap_or(0);
+        Span::since(&self.phases.queue_wait, enqueued_at)
+            .traced(parent, "enqueue", base + batch[0] as u64)
+            .arg("rows", batch.len() as u64)
+            .finish();
         let start = Instant::now();
+        let ranked = match &self.index {
+            Some(index) => self.rank_probed(index, queries, batch, scratch, parent, base)?,
+            None => self.rank_exhaustive(queries, batch, scratch, parent, base)?,
+        };
+        Ok(BatchResult {
+            ranked,
+            elapsed_ms: start.elapsed().as_secs_f64() * 1e3,
+        })
+    }
+
+    /// Stacks the batch's profiles into `scratch.profiles`.
+    fn stack_profiles(
+        &self,
+        queries: &[Query],
+        batch: &[usize],
+        scratch: &mut Scratch,
+    ) -> Result<(), ServeError> {
         let dim = self.rec.dim();
-        let rows = batch.len();
-
-        // Batch-level spans parent under the *first* member query's root
-        // span; per-query stage spans (probe/re-rank) are indexed by the
-        // query's own sequence number, so every id in the dump is
-        // recomputable.
-        let trace = self.tracer.as_ref().zip(trace_base).map(|(t, base)| {
-            let (tid, root) = self.query_trace(base, batch[0]);
-            (t, tid, root, base)
-        });
-        if let Some((t, tid, root, base)) = &trace {
-            let end = t.now_us();
-            t.record_span_at(
-                "enqueue",
-                "serve",
-                *tid,
-                derive_span_id(*tid, "enqueue", base + batch[0] as u64),
-                *root,
-                end.saturating_sub(elapsed_us(enqueued_at)),
-                end,
-                [("rows", rows as u64), ("", 0)],
-            );
-        }
-
-        let matmul_span = self.phases.batch_matmul.start_span();
-        let t_assembly = trace.as_ref().map(|(t, tid, root, base)| {
-            t.span(
-                "batch_assembly",
-                "serve",
-                *tid,
-                derive_span_id(*tid, "batch_assembly", base + batch[0] as u64),
-                *root,
-            )
-            .arg("rows", rows as u64)
-        });
-        ensure(&mut scratch.profiles, rows * dim);
+        ensure(&mut scratch.profiles, batch.len() * dim);
         for (slot, &qi) in batch.iter().enumerate() {
             self.rec.profile_into(
                 &queries[qi].recent,
                 &mut scratch.profiles[slot * dim..(slot + 1) * dim],
             )?;
         }
-        drop(t_assembly);
-        if let Some(index) = &self.index {
-            matmul_span.finish();
-            let ann = self.cfg.ann.expect("index implies ann config");
-            let nprobe = ann.nprobe;
-            let topk_span = self.phases.topk.start_span();
-            let mut ranked = Vec::with_capacity(rows);
-            let (mut batch_candidates, mut batch_shortlisted) = (0u64, 0u64);
-            for (slot, &qi) in batch.iter().enumerate() {
-                let q = &queries[qi];
-                let profile = &scratch.profiles[slot * dim..(slot + 1) * dim];
-                // The probe / re-rank split exists so the two IVF stages
-                // are separately attributable; together they are exactly
-                // `search_into` (or its quantized twin).
-                let t_probe = trace.as_ref().map(|(t, tid, root, base)| {
-                    t.span(
-                        "ivf_probe",
-                        "serve",
-                        *tid,
-                        derive_span_id(*tid, "ivf_probe", base + qi as u64),
-                        *root,
-                    )
+        Ok(())
+    }
+
+    /// The ANN path: exact over each query's probed cells, equal to the
+    /// exhaustive path when `nprobe = cells`. Here `batch_matmul` is the
+    /// profile stacking alone and `topk` the per-query probe and re-rank.
+    fn rank_probed(
+        &self,
+        index: &IvfIndex,
+        queries: &[Query],
+        batch: &[usize],
+        scratch: &mut Scratch,
+        parent: Option<SpanParent<'_>>,
+        base: u64,
+    ) -> Result<Vec<(usize, Vec<usize>)>, ServeError> {
+        let dim = self.rec.dim();
+        let first = base + batch[0] as u64;
+        let stacking = Span::new(&self.phases.batch_matmul)
+            .traced(parent, "batch_assembly", first)
+            .arg("rows", batch.len() as u64);
+        self.stack_profiles(queries, batch, scratch)?;
+        stacking.finish();
+        let ann = self.cfg.ann.expect("index implies ann config");
+        let nprobe = ann.nprobe;
+        let topk_span = Span::new(&self.phases.topk);
+        let mut ranked = Vec::with_capacity(batch.len());
+        let (mut batch_candidates, mut batch_shortlisted) = (0u64, 0u64);
+        for (slot, &qi) in batch.iter().enumerate() {
+            let q = &queries[qi];
+            let profile = &scratch.profiles[slot * dim..(slot + 1) * dim];
+            // The probe / re-rank split exists so the two IVF stages
+            // are separately attributable; together they are exactly
+            // `search_into` (or its quantized twin).
+            let probe_span = parent.map(|p| {
+                p.child("ivf_probe", base + qi as u64)
                     .arg("nprobe", nprobe as u64)
-                });
-                index.probe_cells(profile, nprobe, &mut scratch.ivf)?;
-                drop(t_probe);
-                let t_rerank = trace.as_ref().map(|(t, tid, root, base)| {
-                    t.span(
-                        "re_rank",
-                        "serve",
-                        *tid,
-                        derive_span_id(*tid, "re_rank", base + qi as u64),
-                        *root,
-                    )
+            });
+            index.probe_cells(profile, nprobe, &mut scratch.ivf)?;
+            drop(probe_span);
+            let rerank_span = parent.map(|p| {
+                p.child("re_rank", base + qi as u64)
                     .arg("k", q.k as u64)
                     .arg("quant", u64::from(self.quant.is_some()))
-                });
-                if let Some(quant) = &self.quant {
-                    let stats = index.rerank_probed_quantized(
-                        quant,
-                        self.rec.embedding(),
-                        profile,
-                        q.k,
-                        ann.overfetch,
-                        &q.exclude,
-                        &mut scratch.ivf,
-                        &mut scratch.ranked,
-                    )?;
-                    batch_candidates += stats.candidates as u64;
-                    batch_shortlisted += stats.shortlisted as u64;
-                } else {
-                    index.rerank_probed(
-                        self.rec.embedding(),
-                        profile,
-                        q.k,
-                        &q.exclude,
-                        &mut scratch.ivf,
-                        &mut scratch.ranked,
-                    );
-                }
-                drop(t_rerank);
-                ranked.push((qi, scratch.ranked.iter().map(|&(i, _)| i).collect()));
-            }
-            if batch_candidates > 0 {
-                self.quant_candidates
-                    .fetch_add(batch_candidates, Ordering::Relaxed);
-                self.quant_shortlisted
-                    .fetch_add(batch_shortlisted, Ordering::Relaxed);
-            }
-            topk_span.finish();
-            return Ok(BatchResult {
-                ranked,
-                elapsed_ms: ms_since(start),
             });
+            if let Some(quant) = &self.quant {
+                let stats = index.rerank_probed_quantized(
+                    quant,
+                    self.rec.embedding(),
+                    profile,
+                    q.k,
+                    ann.overfetch,
+                    &q.exclude,
+                    &mut scratch.ivf,
+                    &mut scratch.ranked,
+                )?;
+                batch_candidates += stats.candidates as u64;
+                batch_shortlisted += stats.shortlisted as u64;
+            } else {
+                index.rerank_probed(
+                    self.rec.embedding(),
+                    profile,
+                    q.k,
+                    &q.exclude,
+                    &mut scratch.ivf,
+                    &mut scratch.ranked,
+                );
+            }
+            drop(rerank_span);
+            ranked.push((qi, scratch.ranked.iter().map(|&(i, _)| i).collect()));
         }
-        let vocab = self.rec.vocab_size();
+        if batch_candidates > 0 {
+            self.quant_candidates
+                .fetch_add(batch_candidates, Ordering::Relaxed);
+            self.quant_shortlisted
+                .fetch_add(batch_shortlisted, Ordering::Relaxed);
+        }
+        topk_span.finish();
+        Ok(ranked)
+    }
+
+    /// The exhaustive path: the sequential path's kernels in its order,
+    /// so bit-identical to `Recommender::recommend_excluding`. Here
+    /// `batch_matmul` is stacking plus the blocked kernel, which the trace
+    /// splits into `batch_assembly` and `batch_matmul`.
+    fn rank_exhaustive(
+        &self,
+        queries: &[Query],
+        batch: &[usize],
+        scratch: &mut Scratch,
+        parent: Option<SpanParent<'_>>,
+        base: u64,
+    ) -> Result<Vec<(usize, Vec<usize>)>, ServeError> {
+        let (rows, dim, vocab) = (batch.len(), self.rec.dim(), self.rec.vocab_size());
+        let first = base + batch[0] as u64;
+        let matmul_span = Span::new(&self.phases.batch_matmul);
+        let stacking = parent.map(|p| p.child("batch_assembly", first).arg("rows", rows as u64));
+        self.stack_profiles(queries, batch, scratch)?;
+        drop(stacking);
         ensure(&mut scratch.scores, rows * vocab);
-        let t_matmul = trace.as_ref().map(|(t, tid, root, base)| {
-            t.span(
-                "batch_matmul",
-                "serve",
-                *tid,
-                derive_span_id(*tid, "batch_matmul", base + batch[0] as u64),
-                *root,
-            )
-            .arg("rows", rows as u64)
-            .arg("vocab", vocab as u64)
+        let kernel = parent.map(|p| {
+            p.child("batch_matmul", first)
+                .arg("rows", rows as u64)
+                .arg("vocab", vocab as u64)
         });
         matmul_block_into(
             &scratch.profiles[..rows * dim],
@@ -804,19 +786,11 @@ impl BatchEngine {
             self.rec.embedding(),
             &mut scratch.scores[..rows * vocab],
         )?;
-        drop(t_matmul);
+        drop(kernel);
         matmul_span.finish();
-        let topk_span = self.phases.topk.start_span();
-        let t_topk = trace.as_ref().map(|(t, tid, root, base)| {
-            t.span(
-                "top_k",
-                "serve",
-                *tid,
-                derive_span_id(*tid, "top_k", base + batch[0] as u64),
-                *root,
-            )
-            .arg("rows", rows as u64)
-        });
+        let topk_span = Span::new(&self.phases.topk)
+            .traced(parent, "top_k", first)
+            .arg("rows", rows as u64);
         let mut ranked = Vec::with_capacity(rows);
         for (slot, &qi) in batch.iter().enumerate() {
             let q = &queries[qi];
@@ -825,12 +799,8 @@ impl BatchEngine {
             top_k_with_scores_into(row, q.k, &mut scratch.topk, &mut scratch.ranked);
             ranked.push((qi, scratch.ranked.iter().map(|&(i, _)| i).collect()));
         }
-        drop(t_topk);
         topk_span.finish();
-        Ok(BatchResult {
-            ranked,
-            elapsed_ms: ms_since(start),
-        })
+        Ok(ranked)
     }
 
     fn take_scratch(&self) -> Scratch {
@@ -847,15 +817,6 @@ impl BatchEngine {
             .expect("scratch pool poisoned")
             .push(scratch);
     }
-}
-
-fn ms_since(start: Instant) -> f64 {
-    start.elapsed().as_secs_f64() * 1000.0
-}
-
-/// Microseconds elapsed since `start`, saturating at u64.
-fn elapsed_us(start: Instant) -> u64 {
-    u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX)
 }
 
 #[cfg(test)]

@@ -32,10 +32,11 @@
 //! * serving telemetry — QPS, p50/p95/p99 latency and cache hit rate —
 //!   reported as [`plp_core::telemetry::ServeTelemetry`], with per-query
 //!   latencies held in a bounded `plp_obs` log-linear histogram
-//!   (O(buckets) memory, not O(queries)) and per-phase spans
-//!   (`queue_wait` / `cache_lookup` / `batch_matmul` / `topk`) exported
-//!   in Prometheus text format via the engine's
-//!   [`plp_obs::Observer`].
+//!   (O(buckets) memory, not O(queries)) and one [`plp_obs::Span`] per
+//!   stage (`queue_wait` / `cache_lookup` / `batch_matmul` / `topk`),
+//!   whose clock reads feed both the phase histograms exported in
+//!   Prometheus text format via the engine's [`plp_obs::Observer`] and,
+//!   when a tracer is attached, the flight recorder.
 //!
 //! The batched path is **bit-identical** to the sequential
 //! [`plp_model::Recommender`] calls: profiles accumulate in the same
