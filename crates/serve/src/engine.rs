@@ -2,16 +2,29 @@
 //! result caching and telemetry.
 //!
 //! A [`BatchEngine`] wraps a frozen [`Recommender`] and answers slices of
-//! [`Query`]s. Cache misses are grouped into batches of at most
-//! `max_batch` queries; each batch stacks its profiles into one matrix
+//! [`Query`]s. A call's `m` cache misses are split into
+//! `max(⌈m / max_batch⌉, min(workers, m))` contiguous batches of
+//! near-equal size, so every worker gets a share even when one batch
+//! could hold them all; each batch stacks its profiles into one matrix
 //! and scores every profile against the whole vocabulary with a single
-//! blocked matrix–matrix kernel. Batches are striped across scoped
-//! worker threads by `batch_index % workers` and results are reassembled
-//! by original query position, so neither the worker count nor the batch
-//! size can change what a query returns — only how fast it returns.
+//! blocked matrix–matrix kernel.
+//!
+//! The workers are the calling thread plus `workers − 1` helper threads
+//! started once, at construction, and fed from one bounded queue. A call
+//! with one batch scores it on the caller's thread. A call with several
+//! publishes them as one shared job, offers it to the helpers without
+//! blocking, and claims batches from the same cursor until none is left;
+//! when the queue is full the caller simply scores more of them itself.
+//! Results are reassembled by original query position, so neither the
+//! worker count, the batch size nor which thread scored a batch can
+//! change what a query returns — only how fast it returns.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::borrow::Cow;
+use std::ops::Range;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Receiver, SyncSender};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
 use plp_core::telemetry::ServeTelemetry;
@@ -21,7 +34,7 @@ use plp_linalg::topk::{top_k_with_scores_into, TopKScratch};
 use plp_model::recommender::mask_excluded;
 use plp_model::{ModelError, Recommender};
 use plp_obs::trace::{derive_span_id, derive_trace_id, fnv1a64, Tracer, DOMAIN_SERVE_QUERY};
-use plp_obs::{HistogramHandle, Observer, Span, SpanParent};
+use plp_obs::{Counter, HistogramHandle, Observer, Span, SpanParent};
 
 use crate::cache::LruCache;
 use crate::error::ServeError;
@@ -86,7 +99,9 @@ impl Default for AnnConfig {
 pub struct ServeConfig {
     /// Largest number of cache-missing queries scored by one kernel call.
     pub max_batch: usize,
-    /// Worker threads scoring batches concurrently.
+    /// Threads scoring a call's batches concurrently: the calling thread
+    /// plus `workers − 1` persistent helper threads that the engine
+    /// starts once, at construction (`1` starts none).
     pub workers: usize,
     /// Result-cache capacity in entries; 0 disables caching.
     pub cache_capacity: usize,
@@ -162,8 +177,9 @@ impl ServeConfig {
 /// what a batch actually scores — at a million-location vocabulary the
 /// old eager `max_batch × vocab` reservation was ~512 MB *per worker*
 /// before the first query arrived, and the ANN path never needs dense
-/// rows at all. Grow-only, pooled across `serve` calls, so the steady
-/// state still performs no scoring allocations.
+/// rows at all. Grow-only, so the steady state still performs no scoring
+/// allocations: each helper thread owns one for its lifetime, and calling
+/// threads lease one from the engine's pool for the length of a call.
 #[derive(Default)]
 struct Scratch {
     /// `rows × dim` stacked profile rows of the current batch.
@@ -195,17 +211,22 @@ struct EngineState {
     wall_ms: f64,
 }
 
-/// The engine's per-phase latency histograms, resolved once at
-/// construction so the serve path never does registry lookups. Phases:
-/// `queue_wait` (miss enqueued → its batch starts scoring), `cache_lookup`
-/// (the hit-check critical section), `batch_matmul` (profile stacking +
-/// blocked kernel) and `topk` (mask + selection).
+/// The engine's per-phase latency histograms and per-call counters,
+/// resolved once at construction so the serve path never does registry
+/// lookups (each takes the registry lock and builds a key). Phases:
+/// `queue_wait` (miss admitted → some thread claims its batch),
+/// `cache_lookup` (the hit-check critical section), `batch_matmul`
+/// (profile stacking + blocked kernel) and `topk` (mask + selection).
 struct ServePhases {
     latency: HistogramHandle,
     queue_wait: HistogramHandle,
     cache_lookup: HistogramHandle,
     batch_matmul: HistogramHandle,
     topk: HistogramHandle,
+    queries: Counter,
+    batches: Counter,
+    cache_hits: Counter,
+    cache_misses: Counter,
 }
 
 impl ServePhases {
@@ -216,6 +237,10 @@ impl ServePhases {
             cache_lookup: obs.histogram_with("plp_serve_phase_ms", "phase", "cache_lookup"),
             batch_matmul: obs.histogram_with("plp_serve_phase_ms", "phase", "batch_matmul"),
             topk: obs.histogram_with("plp_serve_phase_ms", "phase", "topk"),
+            queries: obs.counter("plp_serve_queries_total"),
+            batches: obs.counter("plp_serve_batches_total"),
+            cache_hits: obs.counter("plp_serve_cache_hits_total"),
+            cache_misses: obs.counter("plp_serve_cache_misses_total"),
         }
     }
 }
@@ -227,9 +252,22 @@ struct BatchResult {
     elapsed_ms: f64,
 }
 
-/// A multi-threaded, cached, micro-batching recommendation engine over a
-/// frozen [`Recommender`]. See the crate docs for the architecture.
-pub struct BatchEngine {
+/// Splits `misses` cache misses into `max(⌈misses / max_batch⌉,
+/// min(workers, misses))` contiguous ranges of near-equal size. None is
+/// larger than `max_batch`, since there are at least
+/// `⌈misses / max_batch⌉` of them.
+fn split(misses: usize, max_batch: usize, workers: usize) -> Vec<Range<usize>> {
+    let n = misses.div_ceil(max_batch).max(workers.min(misses));
+    (0..n)
+        .map(|b| b * misses / n..(b + 1) * misses / n)
+        .collect()
+}
+
+/// What the calling threads and the helper threads share: the frozen
+/// model, its index and the instruments a batch records into. Each helper
+/// holds an `Arc` to it, so it outlives its [`BatchEngine`] until the
+/// last helper has seen the queue close.
+struct EngineCore {
     rec: Recommender,
     cfg: ServeConfig,
     /// The IVF coarse quantiser, built once at construction when
@@ -242,7 +280,6 @@ pub struct BatchEngine {
     /// seen and rows that survived into the exact re-rank.
     quant_candidates: AtomicU64,
     quant_shortlisted: AtomicU64,
-    obs: Observer,
     phases: ServePhases,
     /// The observer's tracer, resolved once at construction. `None`
     /// keeps the serve path free of any tracing branches beyond one
@@ -251,16 +288,34 @@ pub struct BatchEngine {
     /// Root of every per-query trace id: `fnv1a64(run_id)`, mixed with
     /// the query sequence number. Deterministic given the observer.
     trace_root: u64,
+    /// Run at the start of every batch, on whichever thread scores it.
+    #[cfg(test)]
+    batch_hook: Mutex<Option<Arc<dyn Fn() + Send + Sync>>>,
+}
+
+/// A multi-threaded, cached, micro-batching recommendation engine over a
+/// frozen [`Recommender`]. See the crate docs for the architecture.
+pub struct BatchEngine {
+    core: Arc<EngineCore>,
+    obs: Observer,
     /// Monotone query sequence; each serve call claims a contiguous
     /// range so concurrent calls never share a trace id.
     trace_seq: AtomicU64,
     state: Mutex<EngineState>,
+    /// Scratch that calling threads lease for one call (helpers own
+    /// theirs).
     scratch_pool: Mutex<Vec<Scratch>>,
     /// Model generation stamped into every cache key. Engines outside the
     /// hot-swap path use 0; [`crate::swap::HotSwapServer`] builds one
     /// engine per published generation so cached results can never cross
     /// a swap boundary.
     generation: u64,
+    /// The helpers' job queue (`None` without helpers). There is no
+    /// `Drop`: dropping the engine drops this sender, which closes the
+    /// queue, and each helper exits once it has drained it. Nothing joins
+    /// a helper, because an engine may be dropped on a query thread when
+    /// a hot swap releases the last pin of its generation.
+    helpers: Option<SyncSender<Arc<Job>>>,
 }
 
 impl BatchEngine {
@@ -330,20 +385,23 @@ impl BatchEngine {
         } else {
             Observer::new("serve")
         };
-        let phases = ServePhases::resolve(&obs);
-        let tracer = obs.tracer();
-        let trace_root = fnv1a64(obs.run_id().unwrap_or("serve"));
-        Ok(BatchEngine {
+        let core = Arc::new(EngineCore {
             rec,
             cfg,
             index,
             quant,
             quant_candidates: AtomicU64::new(0),
             quant_shortlisted: AtomicU64::new(0),
+            phases: ServePhases::resolve(&obs),
+            tracer: obs.tracer(),
+            trace_root: fnv1a64(obs.run_id().unwrap_or("serve")),
+            #[cfg(test)]
+            batch_hook: Mutex::new(None),
+        });
+        let helpers = start_helpers(&core, cfg.workers - 1);
+        Ok(BatchEngine {
+            core,
             obs,
-            phases,
-            tracer,
-            trace_root,
             trace_seq: AtomicU64::new(0),
             state: Mutex::new(EngineState {
                 cache: LruCache::new(cfg.cache_capacity),
@@ -353,12 +411,13 @@ impl BatchEngine {
             }),
             scratch_pool: Mutex::new(Vec::new()),
             generation,
+            helpers,
         })
     }
 
     /// The wrapped recommender.
     pub fn recommender(&self) -> &Recommender {
-        &self.rec
+        &self.core.rec
     }
 
     /// The model generation this engine serves (0 outside hot-swap).
@@ -368,19 +427,19 @@ impl BatchEngine {
 
     /// The engine configuration.
     pub fn config(&self) -> ServeConfig {
-        self.cfg
+        self.core.cfg
     }
 
     /// The IVF index, when the engine was configured with
     /// [`ServeConfig::ann`].
     pub fn ann_index(&self) -> Option<&IvfIndex> {
-        self.index.as_ref()
+        self.core.index.as_ref()
     }
 
     /// The packed int8 posting-list rows, when [`AnnConfig::quantized`]
     /// is set.
     pub fn ann_quant(&self) -> Option<&IvfQuant> {
-        self.quant.as_ref()
+        self.core.quant.as_ref()
     }
 
     /// Lifetime `(candidates, shortlisted)` totals of the quantized
@@ -389,8 +448,8 @@ impl BatchEngine {
     /// query is served.
     pub fn quant_totals(&self) -> (u64, u64) {
         (
-            self.quant_candidates.load(Ordering::Relaxed),
-            self.quant_shortlisted.load(Ordering::Relaxed),
+            self.core.quant_candidates.load(Ordering::Relaxed),
+            self.core.quant_shortlisted.load(Ordering::Relaxed),
         )
     }
 
@@ -410,18 +469,19 @@ impl BatchEngine {
     pub fn serve(&self, queries: &[Query]) -> Result<Vec<Vec<usize>>, ServeError> {
         let call_start = Instant::now();
         self.validate_queries(queries)?;
+        let core = &*self.core;
 
         // Claim this call's contiguous query-sequence range. Each query
         // gets trace id `derive_trace_id(fnv1a64(run_id), QUERY, seq)` —
         // deterministic given the arrival order, never the clock.
-        let trace_base = self.tracer.as_ref().map(|_| {
+        let trace_base = core.tracer.as_ref().map(|_| {
             self.trace_seq
                 .fetch_add(queries.len() as u64, Ordering::Relaxed)
         });
 
         // Phase 1: cache lookups (single short critical section).
-        let lookup_parent = self.query_parent(trace_base, 0);
-        let lookup_span = Span::new(&self.phases.cache_lookup)
+        let lookup_parent = core.query_parent(trace_base, 0);
+        let lookup_span = Span::new(&core.phases.cache_lookup)
             .traced(lookup_parent, "cache_lookup", trace_base.unwrap_or(0))
             .arg("queries", queries.len() as u64);
         let mut results: Vec<Option<Vec<usize>>> = vec![None; queries.len()];
@@ -441,7 +501,7 @@ impl BatchEngine {
         }
         let lookup_ms = lookup_span.arg("misses", misses.len() as u64).finish();
 
-        // Phase 2: score the misses in batches, striped across workers.
+        // Phase 2: score the misses, split across the workers.
         let batch_results = self.score_misses(queries, &misses, call_start, trace_base)?;
 
         // Phase 3: reassemble, fill the cache, record telemetry. Per-query
@@ -451,7 +511,7 @@ impl BatchEngine {
         let hits = (queries.len() - misses.len()) as u64;
         let mut state = self.state.lock().expect("serve state poisoned");
         for br in &batch_results {
-            self.phases
+            core.phases
                 .latency
                 .record_n(br.elapsed_ms, br.ranked.len() as u64);
         }
@@ -462,28 +522,24 @@ impl BatchEngine {
             }
         }
         if hits > 0 {
-            self.phases.latency.record_n(lookup_ms, hits);
+            core.phases.latency.record_n(lookup_ms, hits);
         }
         state.queries += queries.len() as u64;
         state.batches += num_batches;
         state.wall_ms += call_start.elapsed().as_secs_f64() * 1e3;
         drop(state);
-        self.obs
-            .counter("plp_serve_queries_total")
-            .add(queries.len() as u64);
-        self.obs.counter("plp_serve_batches_total").add(num_batches);
-        self.obs.counter("plp_serve_cache_hits_total").add(hits);
-        self.obs
-            .counter("plp_serve_cache_misses_total")
-            .add(misses.len() as u64);
+        core.phases.queries.add(queries.len() as u64);
+        core.phases.batches.add(num_batches);
+        core.phases.cache_hits.add(hits);
+        core.phases.cache_misses.add(misses.len() as u64);
 
         // Per-query root spans, closed at call end. `misses` is sorted
         // ascending (it was built by a forward scan), so a binary search
         // tells hit from miss.
-        if let (Some(t), Some(base)) = (&self.tracer, trace_base) {
+        if let (Some(t), Some(base)) = (&core.tracer, trace_base) {
             let (start, end) = (t.micros_at(call_start), t.now_us());
             for (i, q) in queries.iter().enumerate() {
-                let (tid, root) = self.query_trace(base, i);
+                let (tid, root) = core.query_trace(base, i);
                 t.record_span_at(
                     "serve_query",
                     "serve",
@@ -522,7 +578,7 @@ impl BatchEngine {
     /// there is nothing to panic on.
     pub fn telemetry(&self) -> ServeTelemetry {
         let state = self.state.lock().expect("serve state poisoned");
-        let latencies = self.phases.latency.snapshot();
+        let latencies = self.core.phases.latency.snapshot();
         let pct = |q: f64| latencies.quantile(q).unwrap_or(0.0);
         let qps = if state.wall_ms > 0.0 {
             state.queries as f64 / (state.wall_ms / 1000.0)
@@ -542,26 +598,8 @@ impl BatchEngine {
         }
     }
 
-    /// `(trace id, root span id)` of the query at position `qi` in a
-    /// serve call whose sequence range starts at `base`. Pure function of
-    /// `(run_id, base + qi)`, so any consumer of the dump can recompute
-    /// the ids.
-    fn query_trace(&self, base: u64, qi: usize) -> (u64, u64) {
-        let idx = base + qi as u64;
-        let tid = derive_trace_id(self.trace_root, DOMAIN_SERVE_QUERY, idx);
-        (tid, derive_span_id(tid, "serve_query", idx))
-    }
-
-    /// The parent of stage spans for the query at position `qi`: its
-    /// trace, under its root span (`None` when untraced).
-    fn query_parent(&self, trace_base: Option<u64>, qi: usize) -> Option<SpanParent<'_>> {
-        let (tracer, base) = self.tracer.as_deref().zip(trace_base)?;
-        let (trace_id, root) = self.query_trace(base, qi);
-        Some(SpanParent::new(tracer, "serve", trace_id, root))
-    }
-
     fn validate_queries(&self, queries: &[Query]) -> Result<(), ServeError> {
-        let vocab = self.rec.vocab_size();
+        let vocab = self.core.rec.vocab_size();
         for (index, q) in queries.iter().enumerate() {
             if q.recent.is_empty() {
                 return Err(ServeError::BadQuery {
@@ -582,77 +620,266 @@ impl BatchEngine {
         Ok(())
     }
 
-    /// Scores `misses` (positions into `queries`) in batches of at most
-    /// `max_batch`, batch `b` on worker `b % workers`. `enqueued_at` is
+    /// Scores `misses` (positions into `queries`, ascending) in the
+    /// batches [`split`] gives, returned in batch order. `admitted` is
     /// when the serve call admitted these misses.
     fn score_misses(
         &self,
         queries: &[Query],
         misses: &[usize],
-        enqueued_at: Instant,
+        admitted: Instant,
         trace_base: Option<u64>,
     ) -> Result<Vec<BatchResult>, ServeError> {
-        if misses.is_empty() {
+        let cfg = &self.core.cfg;
+        let batches = split(misses.len(), cfg.max_batch, cfg.workers);
+        if batches.is_empty() {
             return Ok(Vec::new());
         }
-        let batches: Vec<&[usize]> = misses.chunks(self.cfg.max_batch).collect();
-        let workers = self.cfg.workers.min(batches.len());
-        let outcome: Vec<Result<Vec<BatchResult>, ServeError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let batches = &batches;
-                    scope.spawn(move || {
-                        let mut scratch = self.take_scratch();
-                        // Stops at the first failing batch, like the
-                        // caller's reduction.
-                        let produced = batches
-                            .iter()
-                            .skip(w)
-                            .step_by(workers)
-                            .map(|b| {
-                                self.score_batch(queries, b, &mut scratch, enqueued_at, trace_base)
-                            })
-                            .collect();
-                        self.return_scratch(scratch);
-                        produced
-                    })
-                })
-                .collect();
-            handles
+        // The missed queries, in miss order; borrowed when every query
+        // missed, so the common all-miss call copies nothing here.
+        let missed: Cow<'_, [Query]> = if misses.len() == queries.len() {
+            Cow::Borrowed(queries)
+        } else {
+            misses.iter().map(|&i| queries[i].clone()).collect()
+        };
+        let mut scratch = self.take_scratch();
+        let scored = match &self.helpers {
+            Some(helpers) if batches.len() > 1 => {
+                let job = Arc::new(Job::new(
+                    missed.into_owned(),
+                    misses.to_vec(),
+                    batches,
+                    admitted,
+                    trace_base,
+                ));
+                // One offer per batch beyond the caller's own. A full
+                // queue means the helpers are busy, and the caller then
+                // scores the rest itself rather than wait for them.
+                for _ in 1..job.batches.len().min(cfg.workers) {
+                    if helpers.try_send(Arc::clone(&job)).is_err() {
+                        break;
+                    }
+                }
+                job.run(&self.core, &mut scratch);
+                job.wait()
+            }
+            _ => batches
                 .into_iter()
-                .map(|h| h.join().expect("serve worker panicked"))
-                .collect()
-        });
-        let mut out = Vec::with_capacity(batches.len());
-        for worker_result in outcome {
-            out.extend(worker_result?);
-        }
-        Ok(out)
+                .map(|r| {
+                    self.core.score_batch(
+                        &missed[r.clone()],
+                        &misses[r],
+                        &mut scratch,
+                        admitted,
+                        trace_base,
+                    )
+                })
+                .collect(),
+        };
+        self.return_scratch(scratch);
+        scored
     }
 
-    /// Scores one batch; the gap since `enqueued_at` is its `queue_wait`.
+    fn take_scratch(&self) -> Scratch {
+        self.scratch_pool
+            .lock()
+            .expect("scratch pool poisoned")
+            .pop()
+            .unwrap_or_default()
+    }
+
+    fn return_scratch(&self, scratch: Scratch) {
+        self.scratch_pool
+            .lock()
+            .expect("scratch pool poisoned")
+            .push(scratch);
+    }
+}
+
+/// Starts `count` helper threads fed by one bounded queue and returns its
+/// sender; `None` when `count` is 0 or no thread could start, in which
+/// case callers score every batch themselves. The join handles are
+/// dropped on purpose: a helper exits on its own once the queue closes,
+/// and it never unwinds, since [`Job::run`] catches a batch's panic and
+/// hands it to the waiting caller.
+fn start_helpers(core: &Arc<EngineCore>, count: usize) -> Option<SyncSender<Arc<Job>>> {
+    if count == 0 {
+        return None;
+    }
+    let (sender, receiver) = mpsc::sync_channel(count);
+    let receiver = Arc::new(Mutex::new(receiver));
+    let started = (0..count)
+        .filter(|i| {
+            let (core, receiver) = (Arc::clone(core), Arc::clone(&receiver));
+            std::thread::Builder::new()
+                .name(format!("plp-serve-{i}"))
+                .spawn(move || helper_loop(&core, &receiver))
+                .is_ok()
+        })
+        .count();
+    (started > 0).then_some(sender)
+}
+
+/// A helper's life: take the next job, score batches from it with the
+/// helper's own scratch, repeat until the engine drops the queue.
+fn helper_loop(core: &EngineCore, jobs: &Mutex<Receiver<Arc<Job>>>) {
+    let mut scratch = Scratch::default();
+    loop {
+        let next = jobs.lock().expect("serve queue poisoned").recv();
+        let Ok(job) = next else {
+            return;
+        };
+        job.run(core, &mut scratch);
+    }
+}
+
+/// One serve call's batches, shared by the caller and the helpers it was
+/// offered to. It owns copies of the missed queries, so a helper that
+/// dequeues it after the call has returned finds only a spent cursor.
+struct Job {
+    /// The missed queries, in miss order.
+    queries: Vec<Query>,
+    /// Their positions in the serve call (ids and reassembly use these).
+    positions: Vec<usize>,
+    batches: Vec<Range<usize>>,
+    /// The next unclaimed batch. `Relaxed` suffices: it only hands out
+    /// distinct indices, the job's inputs were published by the `Arc`
+    /// and the queue, and results travel back through `done`.
+    next: AtomicUsize,
+    admitted: Instant,
+    trace_base: Option<u64>,
+    done: Mutex<JobDone>,
+    finished: Condvar,
+}
+
+/// Each batch's outcome (a caught panic included) and how many are still
+/// being scored.
+struct JobDone {
+    outcomes: Vec<Option<std::thread::Result<Result<BatchResult, ServeError>>>>,
+    pending: usize,
+}
+
+impl Job {
+    fn new(
+        queries: Vec<Query>,
+        positions: Vec<usize>,
+        batches: Vec<Range<usize>>,
+        admitted: Instant,
+        trace_base: Option<u64>,
+    ) -> Self {
+        let pending = batches.len();
+        Job {
+            queries,
+            positions,
+            batches,
+            next: AtomicUsize::new(0),
+            admitted,
+            trace_base,
+            done: Mutex::new(JobDone {
+                outcomes: (0..pending).map(|_| None).collect(),
+                pending,
+            }),
+            finished: Condvar::new(),
+        }
+    }
+
+    /// Claims and scores batches until none is left. A panic inside a
+    /// batch is caught and stored as that batch's outcome, so the caller
+    /// waiting in [`Job::wait`] re-raises it instead of waiting forever.
+    fn run(&self, core: &EngineCore, scratch: &mut Scratch) {
+        loop {
+            let b = self.next.fetch_add(1, Ordering::Relaxed);
+            let Some(range) = self.batches.get(b) else {
+                return;
+            };
+            let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
+                core.score_batch(
+                    &self.queries[range.clone()],
+                    &self.positions[range.clone()],
+                    scratch,
+                    self.admitted,
+                    self.trace_base,
+                )
+            }));
+            let mut done = self.done.lock().expect("serve job poisoned");
+            done.outcomes[b] = Some(outcome);
+            done.pending -= 1;
+            if done.pending == 0 {
+                self.finished.notify_all();
+            }
+        }
+    }
+
+    /// Waits until every batch has been scored and returns the results in
+    /// batch order: the first error, or the first batch's panic re-raised
+    /// on this thread.
+    fn wait(&self) -> Result<Vec<BatchResult>, ServeError> {
+        let mut done = self.done.lock().expect("serve job poisoned");
+        while done.pending > 0 {
+            done = self.finished.wait(done).expect("serve job poisoned");
+        }
+        let outcomes = std::mem::take(&mut done.outcomes);
+        drop(done);
+        outcomes
+            .into_iter()
+            .map(|outcome| match outcome.expect("every batch scored") {
+                Ok(result) => result,
+                Err(payload) => panic::resume_unwind(payload),
+            })
+            .collect()
+    }
+}
+
+impl EngineCore {
+    /// `(trace id, root span id)` of the query at position `qi` in a
+    /// serve call whose sequence range starts at `base`. Pure function of
+    /// `(run_id, base + qi)`, so any consumer of the dump can recompute
+    /// the ids.
+    fn query_trace(&self, base: u64, qi: usize) -> (u64, u64) {
+        let idx = base + qi as u64;
+        let tid = derive_trace_id(self.trace_root, DOMAIN_SERVE_QUERY, idx);
+        (tid, derive_span_id(tid, "serve_query", idx))
+    }
+
+    /// The parent of stage spans for the query at position `qi`: its
+    /// trace, under its root span (`None` when untraced).
+    fn query_parent(&self, trace_base: Option<u64>, qi: usize) -> Option<SpanParent<'_>> {
+        let (tracer, base) = self.tracer.as_deref().zip(trace_base)?;
+        let (trace_id, root) = self.query_trace(base, qi);
+        Some(SpanParent::new(tracer, "serve", trace_id, root))
+    }
+
+    /// Scores one batch: `queries[j]` sits at position `positions[j]` of
+    /// its serve call. The gap since `admitted` is its `queue_wait`.
     /// Batch-level spans parent under the *first* member query's root
     /// span; per-query stage spans (probe/re-rank) are indexed by the
     /// query's own sequence number, so every id in the dump is
-    /// recomputable.
+    /// recomputable whichever thread scored the batch.
     fn score_batch(
         &self,
         queries: &[Query],
-        batch: &[usize],
+        positions: &[usize],
         scratch: &mut Scratch,
-        enqueued_at: Instant,
+        admitted: Instant,
         trace_base: Option<u64>,
     ) -> Result<BatchResult, ServeError> {
-        let parent = self.query_parent(trace_base, batch[0]);
+        #[cfg(test)]
+        {
+            let hook = self.batch_hook.lock().expect("batch hook poisoned").clone();
+            if let Some(hook) = hook {
+                hook();
+            }
+        }
+        let parent = self.query_parent(trace_base, positions[0]);
         let base = trace_base.unwrap_or(0);
-        Span::since(&self.phases.queue_wait, enqueued_at)
-            .traced(parent, "enqueue", base + batch[0] as u64)
-            .arg("rows", batch.len() as u64)
+        Span::since(&self.phases.queue_wait, admitted)
+            .traced(parent, "enqueue", base + positions[0] as u64)
+            .arg("rows", positions.len() as u64)
             .finish();
         let start = Instant::now();
         let ranked = match &self.index {
-            Some(index) => self.rank_probed(index, queries, batch, scratch, parent, base)?,
-            None => self.rank_exhaustive(queries, batch, scratch, parent, base)?,
+            Some(index) => self.rank_probed(index, queries, positions, scratch, parent, base)?,
+            None => self.rank_exhaustive(queries, positions, scratch, parent, base)?,
         };
         Ok(BatchResult {
             ranked,
@@ -661,17 +888,12 @@ impl BatchEngine {
     }
 
     /// Stacks the batch's profiles into `scratch.profiles`.
-    fn stack_profiles(
-        &self,
-        queries: &[Query],
-        batch: &[usize],
-        scratch: &mut Scratch,
-    ) -> Result<(), ServeError> {
+    fn stack_profiles(&self, queries: &[Query], scratch: &mut Scratch) -> Result<(), ServeError> {
         let dim = self.rec.dim();
-        ensure(&mut scratch.profiles, batch.len() * dim);
-        for (slot, &qi) in batch.iter().enumerate() {
+        ensure(&mut scratch.profiles, queries.len() * dim);
+        for (slot, q) in queries.iter().enumerate() {
             self.rec.profile_into(
-                &queries[qi].recent,
+                &q.recent,
                 &mut scratch.profiles[slot * dim..(slot + 1) * dim],
             )?;
         }
@@ -685,25 +907,24 @@ impl BatchEngine {
         &self,
         index: &IvfIndex,
         queries: &[Query],
-        batch: &[usize],
+        positions: &[usize],
         scratch: &mut Scratch,
         parent: Option<SpanParent<'_>>,
         base: u64,
     ) -> Result<Vec<(usize, Vec<usize>)>, ServeError> {
         let dim = self.rec.dim();
-        let first = base + batch[0] as u64;
+        let first = base + positions[0] as u64;
         let stacking = Span::new(&self.phases.batch_matmul)
             .traced(parent, "batch_assembly", first)
-            .arg("rows", batch.len() as u64);
-        self.stack_profiles(queries, batch, scratch)?;
+            .arg("rows", positions.len() as u64);
+        self.stack_profiles(queries, scratch)?;
         stacking.finish();
         let ann = self.cfg.ann.expect("index implies ann config");
         let nprobe = ann.nprobe;
         let topk_span = Span::new(&self.phases.topk);
-        let mut ranked = Vec::with_capacity(batch.len());
+        let mut ranked = Vec::with_capacity(positions.len());
         let (mut batch_candidates, mut batch_shortlisted) = (0u64, 0u64);
-        for (slot, &qi) in batch.iter().enumerate() {
-            let q = &queries[qi];
+        for (slot, (q, &qi)) in queries.iter().zip(positions).enumerate() {
             let profile = &scratch.profiles[slot * dim..(slot + 1) * dim];
             // The probe / re-rank split exists so the two IVF stages
             // are separately attributable; together they are exactly
@@ -762,16 +983,16 @@ impl BatchEngine {
     fn rank_exhaustive(
         &self,
         queries: &[Query],
-        batch: &[usize],
+        positions: &[usize],
         scratch: &mut Scratch,
         parent: Option<SpanParent<'_>>,
         base: u64,
     ) -> Result<Vec<(usize, Vec<usize>)>, ServeError> {
-        let (rows, dim, vocab) = (batch.len(), self.rec.dim(), self.rec.vocab_size());
-        let first = base + batch[0] as u64;
+        let (rows, dim, vocab) = (positions.len(), self.rec.dim(), self.rec.vocab_size());
+        let first = base + positions[0] as u64;
         let matmul_span = Span::new(&self.phases.batch_matmul);
         let stacking = parent.map(|p| p.child("batch_assembly", first).arg("rows", rows as u64));
-        self.stack_profiles(queries, batch, scratch)?;
+        self.stack_profiles(queries, scratch)?;
         drop(stacking);
         ensure(&mut scratch.scores, rows * vocab);
         let kernel = parent.map(|p| {
@@ -792,8 +1013,7 @@ impl BatchEngine {
             .traced(parent, "top_k", first)
             .arg("rows", rows as u64);
         let mut ranked = Vec::with_capacity(rows);
-        for (slot, &qi) in batch.iter().enumerate() {
-            let q = &queries[qi];
+        for (slot, (q, &qi)) in queries.iter().zip(positions).enumerate() {
             let row = &mut scratch.scores[slot * vocab..(slot + 1) * vocab];
             mask_excluded(row, &q.exclude);
             top_k_with_scores_into(row, q.k, &mut scratch.topk, &mut scratch.ranked);
@@ -801,21 +1021,6 @@ impl BatchEngine {
         }
         topk_span.finish();
         Ok(ranked)
-    }
-
-    fn take_scratch(&self) -> Scratch {
-        self.scratch_pool
-            .lock()
-            .expect("scratch pool poisoned")
-            .pop()
-            .unwrap_or_default()
-    }
-
-    fn return_scratch(&self, scratch: Scratch) {
-        self.scratch_pool
-            .lock()
-            .expect("scratch pool poisoned")
-            .push(scratch);
     }
 }
 
@@ -1390,7 +1595,7 @@ mod tests {
                 "one root span per query per call"
             );
             // Root span ids are pure functions of the query sequence.
-            let (tid0, root0) = engine.query_trace(0, 0);
+            let (tid0, root0) = engine.core.query_trace(0, 0);
             assert!(spans
                 .iter()
                 .any(|s| s.name == "serve_query" && s.trace_id == tid0 && s.span_id == root0));
@@ -1425,5 +1630,190 @@ mod tests {
                 "ANN workers score shortlists; the vocab-wide dense rows must never exist"
             );
         }
+    }
+
+    #[test]
+    fn misses_split_evenly_across_the_workers() {
+        let sizes = |m, max_batch, workers| -> Vec<usize> {
+            split(m, max_batch, workers)
+                .iter()
+                .map(|r| r.len())
+                .collect()
+        };
+        assert_eq!(
+            sizes(16, 64, 2),
+            [8, 8],
+            "one batch's worth still feeds both workers"
+        );
+        assert_eq!(sizes(5, 2, 2), [1, 2, 2], "no batch exceeds max_batch");
+        assert_eq!(sizes(1, 64, 4), [1]);
+        assert_eq!(sizes(0, 64, 4), Vec::<usize>::new());
+        for (m, max_batch, workers) in [(37, 5, 3), (100, 32, 2), (7, 64, 7)] {
+            let batches = split(m, max_batch, workers);
+            assert_eq!(batches.len(), m.div_ceil(max_batch).max(workers.min(m)));
+            assert_eq!(batches.first().unwrap().start, 0);
+            assert_eq!(batches.last().unwrap().end, m);
+            assert!(batches.windows(2).all(|w| w[0].end == w[1].start));
+            assert!(batches
+                .iter()
+                .all(|r| !r.is_empty() && r.len() <= max_batch));
+        }
+    }
+
+    /// Sends a job over all of `queries` straight to the helpers, so no
+    /// calling thread claims any of its batches.
+    fn helpers_only(engine: &BatchEngine, queries: &[Query]) -> Arc<Job> {
+        let cfg = engine.config();
+        let job = Arc::new(Job::new(
+            queries.to_vec(),
+            (0..queries.len()).collect(),
+            split(queries.len(), cfg.max_batch, cfg.workers),
+            Instant::now(),
+            None,
+        ));
+        let helpers = engine.helpers.as_ref().expect("workers > 1 starts helpers");
+        helpers.send(Arc::clone(&job)).unwrap();
+        job
+    }
+
+    fn answers(job: &Job) -> Vec<Vec<usize>> {
+        let batches = job.wait().unwrap();
+        batches
+            .into_iter()
+            .flat_map(|b| b.ranked)
+            .map(|(_, r)| r)
+            .collect()
+    }
+
+    #[test]
+    fn concurrent_callers_share_the_helpers_and_stay_bit_identical() {
+        // Four callers, one helper and a one-slot queue: offers are
+        // refused while the helper is busy, and those callers then score
+        // all their batches themselves.
+        let rec = random_recommender(47, 5, 80);
+        let queries = mixed_queries(47, 23, 81);
+        let expected: Vec<Vec<usize>> = queries.iter().map(|q| sequential(&rec, q)).collect();
+        let engine = BatchEngine::new(
+            rec,
+            ServeConfig {
+                max_batch: 3,
+                workers: 2,
+                cache_capacity: 0,
+                ann: None,
+            },
+        )
+        .unwrap();
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for caller in 0..4 {
+                let (engine, queries, expected, start) = (&engine, &queries, &expected, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for round in 0..40 {
+                        let from = (caller * 7 + round) % queries.len();
+                        assert_eq!(
+                            engine.serve(&queries[from..]).unwrap(),
+                            expected[from..],
+                            "caller {caller}, round {round}"
+                        );
+                    }
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn dropping_the_engine_never_waits_for_a_helper() {
+        let rec = random_recommender(29, 4, 82);
+        let queries = mixed_queries(29, 6, 83);
+        let expected: Vec<Vec<usize>> = queries.iter().map(|q| sequential(&rec, q)).collect();
+        let engine = BatchEngine::new(
+            rec,
+            ServeConfig {
+                max_batch: 2,
+                workers: 2,
+                cache_capacity: 0,
+                ann: None,
+            },
+        )
+        .unwrap();
+        // Every batch waits at a gate that opens when `open` is dropped.
+        let (open, gate) = mpsc::channel::<()>();
+        let gate = Mutex::new(gate);
+        *engine.core.batch_hook.lock().unwrap() = Some(Arc::new(move || {
+            let _ = gate.lock().unwrap().recv();
+        }));
+        let job = helpers_only(&engine, &queries);
+        let core = Arc::downgrade(&engine.core);
+        // Returns although the helper is held inside (or before) a batch:
+        // a drop that joined would deadlock here.
+        drop(engine);
+        assert!(
+            core.upgrade().is_some(),
+            "the held helper still pins the core"
+        );
+        drop(open);
+        assert_eq!(
+            answers(&job),
+            expected,
+            "a job queued before the drop is still scored"
+        );
+        let deadline = Instant::now() + std::time::Duration::from_secs(30);
+        while core.strong_count() > 0 {
+            assert!(
+                Instant::now() < deadline,
+                "the helper did not exit after the queue closed"
+            );
+            std::thread::yield_now();
+        }
+    }
+
+    /// Whether `f` panics, run on a thread of its own so that a hang
+    /// fails the test after 30 s instead of stalling the suite.
+    fn panics_within_deadline(f: impl FnOnce() + Send + 'static) -> bool {
+        let (sender, receiver) = mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = sender.send(panic::catch_unwind(AssertUnwindSafe(f)).is_err());
+        });
+        receiver
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("still waiting after 30 s")
+    }
+
+    #[test]
+    fn a_panicking_batch_panics_the_caller_instead_of_hanging() {
+        let rec = random_recommender(29, 4, 84);
+        let queries = mixed_queries(29, 9, 85);
+        let expected: Vec<Vec<usize>> = queries.iter().map(|q| sequential(&rec, q)).collect();
+        let engine = Arc::new(
+            BatchEngine::new(
+                rec,
+                ServeConfig {
+                    max_batch: 2,
+                    workers: 2,
+                    cache_capacity: 0,
+                    ann: None,
+                },
+            )
+            .unwrap(),
+        );
+        *engine.core.batch_hook.lock().unwrap() = Some(Arc::new(|| panic!("injected batch panic")));
+        // Whichever thread claimed a batch, the caller re-raises.
+        let (caller, stream) = (Arc::clone(&engine), queries.clone());
+        assert!(
+            panics_within_deadline(move || {
+                let _ = caller.serve(&stream);
+            }),
+            "serve must re-raise the batch's panic"
+        );
+        // Scored by the helper alone: its caught panic reaches the waiter.
+        let job = helpers_only(&engine, &queries);
+        assert!(panics_within_deadline(move || {
+            let _ = job.wait();
+        }));
+        // The helper outlives the panics it caught.
+        *engine.core.batch_hook.lock().unwrap() = None;
+        assert_eq!(answers(&helpers_only(&engine, &queries)), expected);
+        assert_eq!(engine.serve(&queries).unwrap(), expected);
     }
 }

@@ -11,9 +11,13 @@
 //!   requests and scores each batch with **one** blocked matrix–matrix
 //!   kernel ([`plp_linalg::matrix::matmul_block_into`]) instead of a
 //!   `matvec` per query,
+//! * persistent workers — the calling thread plus `workers − 1` helper
+//!   threads started once per engine and fed from a bounded queue; each
+//!   call's misses are split evenly across them, and a call with one
+//!   batch never leaves the caller's thread,
 //! * per-worker scratch buffers (profile rows, score rows, the top-k
-//!   heap) pooled across calls, so the steady state performs no scoring
-//!   allocations,
+//!   heap) owned by each helper or leased by the caller, so the steady
+//!   state performs no scoring allocations,
 //! * [`cache::LruCache`] — an LRU result cache keyed by the normalised
 //!   `(recent, k, exclude)` query with hit/miss counters,
 //! * optional sublinear scoring — [`engine::AnnConfig`] builds a

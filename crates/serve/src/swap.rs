@@ -239,10 +239,15 @@ impl HotSwapServer {
     /// drops.
     pub fn swap(&self, next: ModelGeneration) -> u64 {
         let next = Arc::new(next);
-        let mut slot = self.current.write().expect("generation lock poisoned");
-        let old = slot.id();
-        *slot = next;
-        old
+        let retired = {
+            let mut slot = self.current.write().expect("generation lock poisoned");
+            std::mem::replace(&mut *slot, next)
+        };
+        // `retired` drops here, after the write guard: when it was the last
+        // pin, dropping it frees the old cache, index and mapping and closes
+        // its engine's helper queue, and `serve_pinned` readers must not be
+        // locked out while that happens.
+        retired.id()
     }
 }
 
